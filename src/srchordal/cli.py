@@ -21,6 +21,7 @@ them; this deliberately diverges from errors-only conventions.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -102,13 +103,6 @@ def _add_common(parser: argparse.ArgumentParser, *, with_field: bool = False) ->
         default=DEFAULT_BUDGET,
         help="node budget for backtracking searches (default 10^7)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker pool size (reserved; the computation currently runs sequentially "
-        "and the output is identical for every value)",
-    )
     if with_field:
         parser.add_argument(
             "--field",
@@ -117,7 +111,9 @@ def _add_common(parser: argparse.ArgumentParser, *, with_field: bool = False) ->
         )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="srchordal",
         description="Exact chordality, collapsibility and Betti tables for "
@@ -180,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--format", choices=("json", "pretty"), default="json")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
 
     return parser
 
@@ -374,10 +369,7 @@ _RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "workers", 1) < 1:
-        parser.error("--workers must be >= 1")
+    args = build_parser().parse_args(argv)
     try:
         return _RUNNERS[args.command](args)
     except SearchBudgetExceeded as exc:

@@ -35,8 +35,6 @@ from .errors import (
 
 MAX_VERTICES = 64
 
-FaceLike = "int | Iterable[int]"
-
 
 def as_mask(face) -> int:
     """Coerce a face given as a mask or an iterable of vertex labels."""
@@ -126,12 +124,6 @@ class SimplicialComplex:
             u |= f
         return vertices_from_mask(u)
 
-    def vertex_mask(self) -> int:
-        u = 0
-        for f in self.facets:
-            u |= f
-        return u
-
     def _coerce_face(self, face) -> int:
         m = as_mask(face)
         if m < 0 or m & ~((1 << self.n) - 1):
@@ -163,9 +155,6 @@ class SimplicialComplex:
                         m |= b
                     out.add(m)
         return out
-
-    def num_faces(self) -> int:
-        return len(self.face_masks())
 
     # -- operations -----------------------------------------------------
 

@@ -2,6 +2,9 @@
 paper-level stability statements about adding generators."""
 
 import random
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
 import pytest
 
@@ -127,12 +130,56 @@ class TestBettiTable:
             assert got == by_degree
 
     def test_agrees_with_koszul_oracle(self):
+        # The oracle works over the rationals. Hochster's formula reads the
+        # table off complexes on at most 5 vertices, whose integral homology
+        # is torsion-free (the 6-vertex RP^2 is the smallest with torsion),
+        # so the GF(2) table must agree as well.
         from oracles import koszul_betti_squarefree
 
         rng = random.Random(403)
         for _ in range(60):
             ideal = random_ideal(rng, 5)
-            assert betti_table(ideal, CHAR0).as_dict() == koszul_betti_squarefree(ideal)
+            expected = koszul_betti_squarefree(ideal)
+            for field in BOTH_FIELDS:
+                assert betti_table(ideal, field).as_dict() == expected
+
+    def test_complete_intersection_on_forty_variables(self):
+        # (x1x2, x3x4x5, x10x20, x30x40): the Koszul complex on generators
+        # of degrees 2, 3, 2, 2, so beta_{i,j} counts i+1 of them summing to j.
+        ideal = SquarefreeIdeal(40, [[1, 2], [3, 4, 5], [10, 20], [30, 40]])
+        expected = {
+            (0, 2): 3, (0, 3): 1, (1, 4): 3, (1, 5): 3, (2, 6): 1, (2, 7): 3, (3, 9): 1,
+        }
+        for field in BOTH_FIELDS:
+            assert betti_table(ideal, field).as_dict() == expected
+
+    @pytest.mark.parametrize(
+        "n, gens",
+        [
+            (10, [[1, 2], [3, 4]]),
+            (6, [[1, 2], [1, 3], [2, 3]]),
+            (8, [[1, 2, 3], [3, 4], [5, 6, 7], [2, 8], [1, 8]]),
+        ],
+    )
+    def test_visits_only_unions_of_generator_supports(self, monkeypatch, n, gens):
+        import srchordal.betti
+
+        supports = [sum(1 << (v - 1) for v in g) for g in gens]
+        unions = {
+            reduce(or_, chosen)
+            for size in range(1, len(supports) + 1)
+            for chosen in combinations(supports, size)
+        }
+        calls = []
+        real = srchordal.betti.reduced_homology_dims
+
+        def counting(cx, field):
+            calls.append(cx.ambient)
+            return real(cx, field)
+
+        monkeypatch.setattr(srchordal.betti, "reduced_homology_dims", counting)
+        betti_table(SquarefreeIdeal(n, gens), GF2)
+        assert sorted(calls) == sorted(unions)
 
     def test_json_and_pretty(self):
         table = betti_table(SquarefreeIdeal(3, [[1, 2], [1, 3], [2, 3]]), GF2)
