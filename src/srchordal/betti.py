@@ -7,12 +7,20 @@ Indexing and conventions, fixed once and used everywhere:
   empty complex {∅} has dim 1 in degree -1 and nothing else.
 * Betti tables are keyed by (homological index i, internal degree j),
   so a d-linear resolution means every nonzero key satisfies j = i + d.
-* The table of an ideal I is assembled by Hochster's formula: the
-  degree-(j-2) reduced homology of the restriction to W of the
-  associated complex contributes to the entry (|W| - j, |W|). The sum
-  runs over the LCM lattice of I only, the unions of generator
-  supports (Gasharov-Peeva-Welker 1999). Every other W is skipped,
-  because its restriction is a cone (see `betti_table`).
+* By Hochster's formula, the degree-(j-2) reduced homology of the
+  restriction to W of the associated complex contributes to the entry
+  (|W| - j, |W|). Only the LCM lattice of I, the unions of generator
+  supports, can contribute (Gasharov-Peeva-Welker 1999): every other
+  restriction is a cone (see `betti_table`).
+
+One walk over the LCM lattice serves every question asked here. It
+closes the generator supports under union, counting the members
+against a budget (`SearchBudgetExceeded` when they outnumber it), and
+yields each W whose restriction has nonzero homology. `betti_table` sums what
+it yields; `nonlinear_witness` stops at the first entry off the
+diagonal, which decides `has_linear_resolution`; and
+`is_componentwise_linear` asks that of the square-free degree
+components up to the top generator degree.
 
 Unit anchors for the conventions: the ideal (x1) in one variable has
 the single entry (0, 1) -> 1, and (x1*x2) in two variables has
@@ -22,10 +30,17 @@ the single entry (0, 1) -> 1, and (x1*x2) in two variables has
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .bitsets import iter_vertices, maximal_elements
 from .complexes import SimplicialComplex
-from .errors import FormatError, NotEquigeneratedError, ZeroIdealError
+from .errors import (
+    DEFAULT_BUDGET,
+    FormatError,
+    NotEquigeneratedError,
+    SearchBudgetExceeded,
+    ZeroIdealError,
+)
 from .ideals import SquarefreeIdeal, degree_component, stanley_reisner_complex
 from .linalg import gf2_rank, gfp_rank, int_rank
 
@@ -189,7 +204,38 @@ class BettiTable:
         return "\n".join(lines)
 
 
-def betti_table(ideal: SquarefreeIdeal, field: FieldSpec = GF2) -> BettiTable:
+def _lattice_homology(
+    ideal: SquarefreeIdeal, field: FieldSpec, budget: int
+) -> Iterator[tuple[int, dict[int, int]]]:
+    """Yield (W, {h: dim}) for each member W of the LCM lattice whose
+    restriction of the associated complex has nonzero reduced homology,
+    keeping only the nonzero dimensions; W ascends.
+
+    The lattice is closed under union first, one generator at a time,
+    and more than `budget` members raise `SearchBudgetExceeded` before
+    any homology is computed. A caller that stops early skips the
+    homology of the remaining members.
+    """
+    lattice: set[int] = set()
+    for g in ideal.gens:
+        lattice |= {w | g for w in lattice}
+        lattice.add(g)
+        if len(lattice) > budget:
+            raise SearchBudgetExceeded(
+                f"the LCM lattice exceeded the member budget ({budget})"
+            )
+    cx = stanley_reisner_complex(ideal)
+    for w in sorted(lattice):
+        induced_facets = maximal_elements(f & w for f in cx.facets)
+        sub = SimplicialComplex._raw(ideal.n, w, induced_facets)
+        homology = {h: dim for h, dim in reduced_homology_dims(sub, field).items() if dim}
+        if homology:
+            yield w, homology
+
+
+def betti_table(
+    ideal: SquarefreeIdeal, field: FieldSpec = GF2, *, budget: int = DEFAULT_BUDGET
+) -> BettiTable:
     """Graded Betti numbers of a nonzero square-free monomial ideal.
 
     Sums induced-subcomplex homology of the associated complex Δ over
@@ -197,33 +243,33 @@ def betti_table(ideal: SquarefreeIdeal, field: FieldSpec = GF2) -> BettiTable:
     No other vertex set W contributes: if some v in W lies in no
     generator contained in W, then for every face F of Δ_W the set
     F ∪ {v} contains no generator either, so it is a face. Δ_W is then
-    a cone with apex v and acyclic over every field.
+    a cone with apex v and acyclic over every field. A lattice of more
+    than `budget` members raises `SearchBudgetExceeded`.
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no Betti table")
-    cx = stanley_reisner_complex(ideal)
-    lattice: set[int] = set()
-    for g in ideal.gens:
-        lattice |= {w | g for w in lattice}
-        lattice.add(g)
     entries: dict[tuple[int, int], int] = {}
-    for w in sorted(lattice):
+    for w, homology in _lattice_homology(ideal, field, budget):
         m = w.bit_count()
-        induced_facets = maximal_elements(f & w for f in cx.facets)
-        sub = SimplicialComplex._raw(ideal.n, w, induced_facets)
-        for h, dim in reduced_homology_dims(sub, field).items():
-            if dim:
-                # W contains a generator, so faces of Δ_W have at most
-                # m - 1 vertices, h <= m - 2 and the index i is >= 0.
-                key = (m - h - 2, m)
-                entries[key] = entries.get(key, 0) + dim
+        for h, dim in homology.items():
+            # W contains a generator, so faces of Δ_W have at most
+            # m - 1 vertices, h <= m - 2 and the index i is >= 0.
+            key = (m - h - 2, m)
+            entries[key] = entries.get(key, 0) + dim
     return BettiTable.from_dict(entries, field)
 
 
-def has_linear_resolution(ideal: SquarefreeIdeal, field: FieldSpec = GF2) -> bool:
-    """True iff all syzygies stay on the single diagonal j = i + d.
+def nonlinear_witness(
+    ideal: SquarefreeIdeal, field: FieldSpec = GF2, *, budget: int = DEFAULT_BUDGET
+) -> tuple[int, int] | None:
+    """The first Betti entry off the diagonal j = i + d, or None.
 
-    Requires the ideal to be generated in one degree d.
+    Requires the ideal to be generated in one degree d. The witness is
+    (W, i): the vertex mask W of a member of the LCM lattice whose
+    restriction of the associated complex has homology giving a nonzero
+    entry (i, |W|) with |W| != i + d, the first such W in ascending
+    mask order. No homology is computed past it. A lattice of more than
+    `budget` members raises `SearchBudgetExceeded`.
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no resolution")
@@ -231,24 +277,65 @@ def has_linear_resolution(ideal: SquarefreeIdeal, field: FieldSpec = GF2) -> boo
     if len(degs) != 1:
         raise NotEquigeneratedError(f"generators in degrees {sorted(degs)}; need a single degree")
     d = degs.pop()
-    table = betti_table(ideal, field)
-    return all(j == i + d for (i, j), _ in table.entries)
+    for w, homology in _lattice_homology(ideal, field, budget):
+        m = w.bit_count()
+        for h in homology:
+            if h != d - 2:  # i = m - h - 2, so j = m equals i + d iff h = d - 2
+                return w, m - h - 2
+    return None
 
 
-def is_componentwise_linear(ideal: SquarefreeIdeal, field: FieldSpec = GF2) -> bool:
+def has_linear_resolution(
+    ideal: SquarefreeIdeal, field: FieldSpec = GF2, *, budget: int = DEFAULT_BUDGET
+) -> bool:
+    """True iff all syzygies stay on the single diagonal j = i + d.
+
+    Requires the ideal to be generated in one degree d; see
+    `nonlinear_witness`, whose budget it shares.
+    """
+    return nonlinear_witness(ideal, field, budget=budget) is None
+
+
+def is_componentwise_linear(
+    ideal: SquarefreeIdeal, field: FieldSpec = GF2, *, budget: int = DEFAULT_BUDGET
+) -> bool:
     """True iff every nonzero square-free degree component is linear.
 
     For square-free monomial ideals this decides componentwise
-    linearity of the ideal itself, so no polynomial degree pieces are
-    ever formed.
+    linearity of the ideal itself (Herzog-Hibi, "Componentwise linear
+    ideals", 1999), so no polynomial degree pieces are ever formed.
+    Each component gets its own lattice budget.
+
+    Only the components I_[j] with min_degree <= j <= max_degree are
+    checked; each of them is nonzero. From the top generator degree D
+    on, linearity carries over from I_[j] to I_[j+1] for every j >= D,
+    over any field:
+
+    * I_[j+1] = (I_[j])_[j+1]. A square-free u of degree j+1 in I is a
+      multiple of a generator g of degree <= D <= j, so dropping a
+      variable of u outside g leaves a member of I_[j] that divides u.
+    * Write J = I_[j], generated by square-free monomials of degree j,
+      and Δ(·) for the Stanley-Reisner complex. A set of at least j+1
+      vertices contains a degree-(j+1) member of J iff it contains a
+      generator of J, so Δ(J_[j+1]) is Δ(J) together with every set of
+      at most j vertices. Its nonfaces are the nonfaces of Δ(J) with at
+      least j+1 vertices, and taking complements, the Alexander dual of
+      Δ(J_[j+1]) is the (n-j-2)-skeleton of Δ(J)^∨.
+    * Eagon-Reiner: a square-free ideal has a linear resolution over a
+      field iff the Alexander dual of its complex is Cohen-Macaulay over
+      that field. Skeletons of Cohen-Macaulay complexes are
+      Cohen-Macaulay over the same field (by Reisner's criterion: links
+      of a skeleton are skeletons of links, and a k-skeleton keeps the
+      homology below degree k). So if J is linear, so is J_[j+1], which
+      is I_[j+1].
+
+    By induction every I_[j] with j >= D is linear once I_[D] is.
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal is not classified")
-    for j in range(ideal.min_degree(), ideal.n + 1):
+    for j in range(ideal.min_degree(), ideal.max_degree() + 1):
         comp = degree_component(ideal, j)
-        if comp.is_zero:
-            continue
-        if not has_linear_resolution(comp, field):
+        if not has_linear_resolution(comp, field, budget=budget):
             return False
     return True
 

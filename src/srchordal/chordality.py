@@ -14,16 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitsets import maximal_elements, subsets_of_size, subsets_up_to_size, vertices_from_mask
-from .complexes import SimplicialComplex, as_mask, simplex_skeleton
+from .complexes import SimplicialComplex, mask_from_json_labels, simplex_skeleton
 from .errors import (
+    DEFAULT_BUDGET,
     DimensionRangeError,
     FormatError,
     NotAClosureError,
     SearchBudgetExceeded,
     VoidComplexError,
 )
-
-DEFAULT_BUDGET = 10_000_000
 
 KIND_COLLAPSE = "collapse"
 KIND_SIMPLICIAL_ORDER = "simplicial_order"
@@ -61,11 +60,11 @@ class FreeSequence:
             raise FormatError('certificate JSON needs "kind", "d" and "faces"') from exc
         if kind not in (KIND_COLLAPSE, KIND_SIMPLICIAL_ORDER):
             raise FormatError(f"unknown certificate kind {kind!r}")
-        if not isinstance(d, int) or d < 1:
+        if type(d) is not int or d < 1:
             raise FormatError('"d" must be a positive integer')
-        if not isinstance(faces, list) or not all(isinstance(f, list) for f in faces):
+        if not isinstance(faces, list):
             raise FormatError('"faces" must be a list of vertex lists')
-        return cls(kind, d, tuple(as_mask(f) for f in faces))
+        return cls(kind, d, tuple(mask_from_json_labels(f, "each face") for f in faces))
 
 
 def d_closure(cx: SimplicialComplex, d: int) -> SimplicialComplex:

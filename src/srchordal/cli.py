@@ -13,7 +13,8 @@ Input formats (also shown by --help of each subcommand):
   "faces": [[1,5],[1,2],[1,3],[2,3]]}.
 
 Exit status: 0 = computed (or verdict true), 1 = negative verdict,
-2 = input error, 3 = search budget exhausted. Verdict-valued
+2 = input error, 3 = budget exhausted (search nodes, or LCM lattice
+members for betti, linres, cwl and classify). Verdict-valued
 subcommands use status 1 for "false" so shell pipelines can branch on
 them; this deliberately diverges from errors-only conventions.
 """
@@ -92,6 +93,13 @@ def _cert_json(seq: FreeSequence | None):
     return None if seq is None else seq.to_json_dict()
 
 
+def _budget(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be >= 0, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, *, with_field: bool = False) -> None:
     parser.add_argument("input", help="input file path, or - for stdin")
     parser.add_argument(
@@ -99,9 +107,10 @@ def _add_common(parser: argparse.ArgumentParser, *, with_field: bool = False) ->
     )
     parser.add_argument(
         "--budget",
-        type=int,
+        type=_budget,
         default=DEFAULT_BUDGET,
-        help="node budget for backtracking searches (default 10^7)",
+        help="node budget for backtracking searches, and member budget for each "
+        "LCM lattice of a Betti or linearity computation (default 10^7)",
     )
     if with_field:
         parser.add_argument(
@@ -175,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--format", choices=("json", "pretty"), default="json")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
 
     return parser
 
@@ -239,7 +248,7 @@ def _run_verify(args) -> int:
 def _run_betti(args) -> int:
     ideal = _load_ideal(args.input)
     fields = _fields_for(args.field)
-    tables = {f.label: betti_table(ideal, f) for f in fields}
+    tables = {f.label: betti_table(ideal, f, budget=args.budget) for f in fields}
     payload = {label: t.to_json_dict() for label, t in tables.items()}
     if len(tables) > 1:
         entry_sets = [t.entries for t in tables.values()]
@@ -256,7 +265,10 @@ def _run_linres(args) -> int:
         raise SRChordalError(
             f"ideal is generated in degrees {sorted(degs)}, not equigenerated in {args.d}"
         )
-    results = {f.label: has_linear_resolution(ideal, f) for f in _fields_for(args.field)}
+    results = {
+        f.label: has_linear_resolution(ideal, f, budget=args.budget)
+        for f in _fields_for(args.field)
+    }
     verdict = all(results.values())
     payload = {"d": args.d, "linear_resolution": results}
     _emit(payload, args.format, pretty_text=f"{args.d}-linear resolution: {results}")
@@ -265,7 +277,10 @@ def _run_linres(args) -> int:
 
 def _run_cwl(args) -> int:
     ideal = _load_ideal(args.input)
-    results = {f.label: is_componentwise_linear(ideal, f) for f in _fields_for(args.field)}
+    results = {
+        f.label: is_componentwise_linear(ideal, f, budget=args.budget)
+        for f in _fields_for(args.field)
+    }
     verdict = all(results.values())
     payload = {"componentwise_linear": results}
     _emit(payload, args.format, pretty_text=f"componentwise linear: {results}")

@@ -14,7 +14,6 @@ Conventions that matter everywhere downstream:
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable
 
 from .bitsets import (
@@ -143,19 +142,6 @@ class SimplicialComplex:
             out.update(subsets_of_size(f, k + 1))
         return sorted(out)
 
-    def face_masks(self) -> set[int]:
-        """The full face set (exponential in facet sizes; fine for small n)."""
-        out: set[int] = set()
-        for f in self.facets:
-            vs = [1 << (v - 1) for v in iter_vertices(f)]
-            for size in range(len(vs) + 1):
-                for combo in combinations(vs, size):
-                    m = 0
-                    for b in combo:
-                        m |= b
-                    out.add(m)
-        return out
-
     # -- operations -----------------------------------------------------
 
     def pure_skeleton(self, i: int) -> "SimplicialComplex":
@@ -250,22 +236,33 @@ class SimplicialComplex:
         if not isinstance(data, dict) or "n" not in data or "facets" not in data:
             raise FormatError('complex JSON needs "n" and "facets" keys')
         n = data["n"]
-        if not isinstance(n, int):
+        if type(n) is not int:
             raise FormatError('"n" must be an integer')
         ambient = None
         if "vertices" in data and data["vertices"] is not None:
-            ambient = mask_from_vertices(data["vertices"])
+            ambient = mask_from_json_labels(data["vertices"], '"vertices"')
         raw = data["facets"]
         if raw is None:
             if ambient is None:
                 return cls.void(n)
             return cls(n, (), ambient=ambient)
-        if not isinstance(raw, list) or not all(isinstance(f, list) for f in raw):
+        if not isinstance(raw, list):
             raise FormatError('"facets" must be null or a list of vertex lists')
+        masks = [mask_from_json_labels(f, "each facet") for f in raw]
         try:
-            return cls(n, [mask_from_vertices(f) for f in raw], ambient=ambient)
+            return cls(n, masks, ambient=ambient)
         except VertexRangeError as exc:
             raise FormatError(str(exc)) from exc
+
+
+def mask_from_json_labels(labels, what: str) -> int:
+    """Mask of a JSON list of vertex labels, each an integer in
+    1..MAX_VERTICES; booleans and floats are not labels."""
+    if not isinstance(labels, list) or not all(
+        type(v) is int and 1 <= v <= MAX_VERTICES for v in labels
+    ):
+        raise FormatError(f"{what} must be a list of integer vertex labels in 1..{MAX_VERTICES}")
+    return mask_from_vertices(labels)
 
 
 def simplex_skeleton(n: int, ambient: int, i: int) -> SimplicialComplex:

@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the default budget
+that bounds every exponential search or enumeration."""
+
+DEFAULT_BUDGET = 10_000_000
 
 
 class SRChordalError(Exception):
@@ -42,4 +45,5 @@ class FormatError(SRChordalError, ValueError):
 
 
 class SearchBudgetExceeded(SRChordalError, RuntimeError):
-    """A backtracking search ran out of its node budget (inconclusive)."""
+    """A backtracking search ran out of its node budget, or an LCM
+    lattice outgrew its member budget (inconclusive)."""

@@ -76,14 +76,19 @@ def is_strongly_stable(ideal: MonomialIdeal) -> bool:
 
 def is_shifted(cx: SimplicialComplex) -> bool:
     """Whether trading any vertex of a face for a larger one stays in
-    the complex."""
-    faces = cx.face_masks()
-    for f in faces:
+    the complex.
+
+    Facets suffice. Let G lie in a facet F, i be in G and j > i be
+    outside G. If j is in F, then G - i + j lies in F; otherwise it
+    lies in F - i + j. Either way it is a face once every exchange on
+    a facet gives a face.
+    """
+    for f in cx.facets:
+        rest = cx.ambient & ~f
         for i in iter_vertices(f):
             base = f & ~(1 << (i - 1))
-            rest = cx.ambient & ~f
             for j in iter_vertices(rest):
-                if j > i and (base | (1 << (j - 1))) not in faces:
+                if j > i and not cx.is_face(base | (1 << (j - 1))):
                     return False
     return True
 
@@ -170,15 +175,6 @@ class GotzmannDecomposition:
         }
 
 
-def _principal_tail_block(m: int) -> list[tuple[int, tuple[int, ...]]] | None:
-    """The empty-Z tail stands for the principal generator m1···ms; it
-    is only admissible with deg(m_s) >= 2. Isolated here so the reading
-    of the r_s = 0 case can be flipped in one place."""
-    if m.bit_count() >= 2:
-        return [(m, ())]
-    return None
-
-
 def _factor_blocks(gens: list[int], first: bool) -> list[tuple[int, tuple[int, ...]]] | None:
     common = gens[0]
     for g in gens[1:]:
@@ -188,8 +184,11 @@ def _factor_blocks(gens: list[int], first: bool) -> list[tuple[int, tuple[int, .
     residual = [g & ~common for g in gens]
     if any(r == 0 for r in residual):
         # the generator equal to `common` divides all others, so the
-        # antichain forces a single generator: the principal tail
-        return _principal_tail_block(common)
+        # antichain forces a single generator: the principal tail. It
+        # has degree >= 2: the caller takes a lone variable, and the
+        # residuals passed down have at least two variables each.
+        assert common.bit_count() >= 2
+        return [(common, ())]
     zs = sorted(r.bit_length() for r in residual if r.bit_count() == 1)
     rest = [r for r in residual if r.bit_count() > 1]
     if rest:
@@ -199,11 +198,10 @@ def _factor_blocks(gens: list[int], first: bool) -> list[tuple[int, tuple[int, .
         if sub is None:
             return None
         return [(common, tuple(zs))] + sub
-    if len(zs) == 1:
-        # keeps the canonical form, where a single-z final block is the
-        # principal tail (m_s·z, ()); the distinct residuals of two or
-        # more generators give two or more z, so no ideal is rejected here
-        return None
+    # a single generator leaves a zero residual (handled above), and the
+    # distinct residuals of two or more give two or more z; so a final
+    # block never has exactly one z, which keeps the canonical form
+    assert len(zs) >= 2
     return [(common, tuple(zs))]
 
 
@@ -244,6 +242,8 @@ def classify(
     dual of the ideal's complex, where they sit in the chain (dual
     shifted => strongly stable => stable => chordal complex, and dual
     vertex decomposable => chordal complex => componentwise linear).
+    `budget` bounds each chordality search and each LCM lattice of the
+    componentwise linearity check.
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal is not classified")
@@ -257,6 +257,6 @@ def classify(
         "gotzmann": gotzmann_decomposition(ideal) is not None,
         "chordal": is_chordal(cx, budget=budget),
         "componentwise_linear": {
-            f.label: is_componentwise_linear(ideal, f) for f in fields
+            f.label: is_componentwise_linear(ideal, f, budget=budget) for f in fields
         },
     }

@@ -10,10 +10,14 @@ square-free operator and its strongly stable inputs.
 from __future__ import annotations
 
 import re
-from itertools import combinations
 from typing import Iterable
 
-from .bitsets import mask_from_vertices, minimal_elements, minimal_transversals, vertices_from_mask
+from .bitsets import (
+    minimal_elements,
+    minimal_transversals,
+    subsets_of_size,
+    vertices_from_mask,
+)
 from .complexes import MAX_VERTICES, SimplicialComplex, as_mask
 from .errors import (
     DimensionRangeError,
@@ -127,16 +131,19 @@ def stanley_reisner_complex(ideal: SquarefreeIdeal) -> SimplicialComplex:
 
 
 def degree_component(ideal: SquarefreeIdeal, j: int) -> SquarefreeIdeal:
-    """Square-free degree-j component: all degree-j square-free members."""
+    """Square-free degree-j component: all degree-j square-free members.
+
+    Each member of degree j is a generator g of degree <= j together
+    with j - deg(g) further variables, so the component is built as
+    {g ∪ S : |g ∪ S| = j}, never from all j-subsets of the variables.
+    """
     if j < 1:
         raise DimensionRangeError(f"degree component needs j >= 1, got {j}")
-    gens = []
-    for combo in combinations(range(ideal.n), j):
-        m = 0
-        for v in combo:
-            m |= 1 << v
-        if ideal.contains(m):
-            gens.append(m)
+    full = (1 << ideal.n) - 1
+    gens: set[int] = set()
+    for g in ideal.gens:
+        if g.bit_count() <= j:
+            gens.update(g | s for s in subsets_of_size(full & ~g, j - g.bit_count()))
     return SquarefreeIdeal(ideal.n, gens)
 
 

@@ -1,10 +1,10 @@
 """Independent oracles and brute-force references used by the tests.
 
 Nothing here may share algorithmic substance with the code under test:
-ranks are done with Fraction Gaussian elimination (not the library's
-Bareiss/GF(2) routines), Betti numbers come from Koszul strands in
-single multidegrees (not from induced-subcomplex homology), and the
-complex references enumerate subsets directly.
+ranks are done with Fraction or residue Gaussian elimination (not the
+library's Bareiss/GF(2) routines), Betti numbers come from Koszul
+strands in single multidegrees (not from induced-subcomplex homology),
+and the complex references enumerate subsets directly.
 """
 
 from __future__ import annotations
@@ -41,7 +41,28 @@ def rational_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-# -- Koszul-strand Betti numbers over the rationals ------------------------
+def modular_rank(rows: list[list[int]], p: int) -> int:
+    """Rank over GF(p), by Gaussian elimination on residues."""
+    mat = [[x % p for x in row] for row in rows]
+    rank = 0
+    ncols = len(mat[0]) if mat else 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = pow(mat[rank][col], -1, p)
+        prow = [x * inv % p for x in mat[rank]]
+        mat[rank] = prow
+        for r in range(rank + 1, len(mat)):
+            if mat[r][col]:
+                scale = mat[r][col]
+                mat[r] = [(a - scale * b) % p for a, b in zip(mat[r], prow)]
+        rank += 1
+    return rank
+
+
+# -- Koszul-strand Betti numbers over Q or GF(p) ----------------------------
 
 
 def _lcm_multidegrees(gens: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
@@ -54,9 +75,12 @@ def _lcm_multidegrees(gens: list[tuple[int, ...]], n: int) -> set[tuple[int, ...
     return lcms
 
 
-def koszul_betti(gens: list[tuple[int, ...]], n: int) -> dict[tuple[int, int], int]:
+def koszul_betti(
+    gens: list[tuple[int, ...]], n: int, char: int = 0
+) -> dict[tuple[int, int], int]:
     """Graded Betti numbers of the monomial ideal module (x^g : g in gens),
-    computed as homology of Koszul strands in single multidegrees."""
+    computed as homology of Koszul strands in single multidegrees, over
+    the rationals (char = 0) or GF(char)."""
 
     def in_ideal(mono: tuple[int, ...]) -> bool:
         return any(all(a <= b for a, b in zip(g, mono)) for g in gens)
@@ -89,7 +113,7 @@ def koszul_betti(gens: list[tuple[int, ...]], n: int) -> dict[tuple[int, int], i
                     rest = t[:pos] + t[pos + 1 :]
                     vec[lower[rest]] = (-1) ** pos
                 rows.append(vec)
-            ranks[p] = rational_rank(rows)
+            ranks[p] = rational_rank(rows) if char == 0 else modular_rank(rows, char)
         ranks[len(support) + 1] = 0
         ranks[0] = 0
         for p in range(len(support) + 1):
@@ -99,14 +123,38 @@ def koszul_betti(gens: list[tuple[int, ...]], n: int) -> dict[tuple[int, int], i
     return out
 
 
-def koszul_betti_squarefree(ideal: SquarefreeIdeal) -> dict[tuple[int, int], int]:
+def koszul_betti_squarefree(ideal: SquarefreeIdeal, char: int = 0) -> dict[tuple[int, int], int]:
     gens = []
     for g in ideal.gens:
         exps = [0] * ideal.n
         for v in iter_vertices(g):
             exps[v - 1] = 1
         gens.append(tuple(exps))
-    return koszul_betti(gens, ideal.n)
+    return koszul_betti(gens, ideal.n, char)
+
+
+def all_subsets_component(ideal: SquarefreeIdeal, j: int) -> SquarefreeIdeal:
+    """I_[j] by definition: every j-subset of the variables that
+    contains a generator."""
+    gens = []
+    for combo in combinations(range(ideal.n), j):
+        m = sum(1 << v for v in combo)
+        if any(g & ~m == 0 for g in ideal.gens):
+            gens.append(m)
+    return SquarefreeIdeal(ideal.n, gens)
+
+
+def unbounded_componentwise_linear(ideal: SquarefreeIdeal, char: int = 0) -> bool:
+    """Herzog-Hibi by definition: every nonzero component I_[j], for
+    every j up to n, has Koszul-strand Betti numbers only on the
+    diagonal j' = i + j, over the rationals (char = 0) or GF(char)."""
+    for j in range(1, ideal.n + 1):
+        comp = all_subsets_component(ideal, j)
+        if comp.is_zero:
+            continue
+        if any(jj != i + j for i, jj in koszul_betti_squarefree(comp, char)):
+            return False
+    return True
 
 
 def koszul_betti_monomial(ideal: MonomialIdeal) -> dict[tuple[int, int], int]:
@@ -130,6 +178,17 @@ def stable_betti(ideal: MonomialIdeal) -> dict[tuple[int, int], int]:
 
 
 # -- brute-force complex references ----------------------------------------
+
+
+def brute_is_shifted(cx: SimplicialComplex) -> bool:
+    """Shiftedness checked on every face, not only on facets."""
+    faces = brute_face_set(cx)
+    for f in faces:
+        for i in iter_vertices(f):
+            for j in iter_vertices(cx.ambient & ~f):
+                if j > i and (f & ~(1 << (i - 1))) | (1 << (j - 1)) not in faces:
+                    return False
+    return True
 
 
 def brute_face_set(cx: SimplicialComplex) -> set[int]:

@@ -14,6 +14,7 @@ from srchordal import (
     FieldSpec,
     FormatError,
     NotEquigeneratedError,
+    SearchBudgetExceeded,
     SimplicialComplex,
     SquarefreeIdeal,
     ZeroIdealError,
@@ -24,6 +25,7 @@ from srchordal import (
     has_linear_resolution,
     is_componentwise_linear,
     is_d_chordal,
+    nonlinear_witness,
     reduced_homology_dims,
     regularity,
     stanley_reisner_complex,
@@ -231,6 +233,22 @@ class TestLinearResolution:
         with pytest.raises(NotEquigeneratedError):
             has_linear_resolution(SquarefreeIdeal(3, [[1], [2, 3]]), GF2)
 
+    def test_witness_of_two_disjoint_edges(self):
+        # Δ on {1,2,3,4} is the 4-cycle: H̃_1 = 1 gives beta_{1,4}, off j = i + 2
+        for field in BOTH_FIELDS:
+            assert nonlinear_witness(SquarefreeIdeal(4, [[1, 2], [3, 4]]), field) == (0b1111, 1)
+            assert nonlinear_witness(SquarefreeIdeal(3, [[1, 2], [1, 3], [2, 3]]), field) is None
+
+    def test_lattice_budget(self):
+        # 18 disjoint edges: the LCM lattice has 2^18 - 1 members
+        ideal = SquarefreeIdeal(40, [[2 * k + 1, 2 * k + 2] for k in range(18)])
+        for check in (betti_table, nonlinear_witness):
+            with pytest.raises(SearchBudgetExceeded):
+                check(ideal, GF2, budget=100)
+        assert nonlinear_witness(SquarefreeIdeal(4, [[1, 2], [3, 4]]), budget=3) == (0b1111, 1)
+        with pytest.raises(SearchBudgetExceeded):
+            nonlinear_witness(SquarefreeIdeal(4, [[1, 2], [3, 4]]), budget=2)
+
 
 class TestComponentwiseLinear:
     def test_mixed_degrees_true(self):
@@ -247,6 +265,47 @@ class TestComponentwiseLinear:
         ideal = stanley_reisner_ideal(EX0)
         for field in BOTH_FIELDS:
             assert is_componentwise_linear(ideal, field)
+
+    def test_agrees_with_unbounded_oracle(self):
+        # The oracle checks every component up to n, built from all
+        # j-subsets, with Koszul strands over the same field.
+        from oracles import unbounded_componentwise_linear
+
+        rng = random.Random(410)
+        verdicts = []
+        for _ in range(150):
+            n = rng.randint(3, 6)
+            gens = [
+                rng.sample(range(1, n + 1), rng.randint(2, min(3, n)))
+                for _ in range(rng.randint(2, 5))
+            ]
+            ideal = SquarefreeIdeal(n, gens)
+            for field in BOTH_FIELDS:
+                verdicts.append(is_componentwise_linear(ideal, field))
+                assert verdicts[-1] == unbounded_componentwise_linear(
+                    ideal, field.characteristic
+                ), (ideal, field)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_stops_at_top_generator_degree(self, monkeypatch, n):
+        # (x1x2, x1x3) is generated in degree 2, so I_[2] is the only
+        # component to check, however many variables lie in no generator.
+        import srchordal.betti
+
+        real = srchordal.betti.has_linear_resolution
+        checked = []
+
+        def only_once(comp, field, **kwargs):
+            checked.append(comp)
+            if len(checked) > 1:
+                raise AssertionError(f"a second component was checked: {comp}")
+            return real(comp, field, **kwargs)
+
+        monkeypatch.setattr(srchordal.betti, "has_linear_resolution", only_once)
+        ideal = SquarefreeIdeal(n, [[1, 2], [1, 3]])
+        assert is_componentwise_linear(ideal, GF2)
+        assert checked == [ideal]
 
 
 class TestTruncationStability:

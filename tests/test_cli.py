@@ -15,11 +15,15 @@ def files(tmp_path):
         "two_edges": tmp_path / "two_edges.txt",
         "malformed": tmp_path / "malformed.txt",
         "ex0": tmp_path / "ex0.json",
+        "wide_lattice": tmp_path / "wide_lattice.txt",
     }
     paths["triangle"].write_text("x1 x2\nx1 x3\nx2 x3\n")
     paths["two_edges"].write_text("n=4\nx1 x2\nx3 x4\n")
     paths["malformed"].write_text("x1 x1\n")
     paths["ex0"].write_text(json.dumps({"n": 5, "facets": EX0_FACETS}))
+    # I_[3] has 55 generators and an LCM lattice of about 4 * 10^8
+    # members; never run this input without a small budget
+    paths["wide_lattice"].write_text("n=30\nx1 x2\nx1 x3\nx4 x5 x6 x7\n")
     return {name: str(p) for name, p in paths.items()}
 
 
@@ -53,6 +57,47 @@ class TestExitStatus:
         code = main(["chordal", "--d", "2", "--budget", "1", files["ex0"]])
         assert code == EXIT_BUDGET
         assert "budget" in capsys.readouterr().err
+
+    def test_lattice_budget_counts_for_cwl(self, files, capsys):
+        code = main(["cwl", "--budget", "10000", files["wide_lattice"]])
+        captured = capsys.readouterr()
+        assert code == EXIT_BUDGET
+        assert captured.out == ""
+        assert "budget" in captured.err
+
+    @pytest.mark.parametrize(
+        "complex_json",
+        [
+            {"n": 3, "facets": [[0, 1]]},
+            {"n": 3, "facets": [["1", 2]]},
+            {"n": 3, "facets": [[1.0, 2]]},
+            {"n": True, "facets": [[1]]},
+        ],
+        ids=["label_zero", "string_label", "float_label", "boolean_n"],
+    )
+    def test_malformed_complex_is_an_input_error(self, tmp_path, capsys, complex_json):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(complex_json))
+        code = main(["dual", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_malformed_certificate_is_an_input_error(self, files, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({"kind": "collapse", "d": 1, "faces": [[0]]}))
+        code = main(["verify", "--certificate", str(path), files["ex0"]])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert "vertex labels" in captured.err
+
+    def test_negative_budget_is_rejected(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chordal", "--budget", "-5", files["ex0"]])
+        assert exc.value.code == 2
+        assert "budget must be >= 0" in capsys.readouterr().err
 
     def test_workers_is_rejected(self, files, capsys):
         with pytest.raises(SystemExit) as exc:

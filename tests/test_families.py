@@ -32,6 +32,7 @@ from srchordal import (
 )
 from data import DUNCE_HAT_FACETS
 from generators import (
+    random_complex,
     random_gotzmann_ideal,
     random_ideal,
     random_proper_complex,
@@ -39,7 +40,7 @@ from generators import (
     random_stable_ideal,
     random_strongly_stable_monomial_ideal,
 )
-from oracles import stable_betti
+from oracles import brute_is_shifted, stable_betti
 
 
 class TestStableCheckers:
@@ -100,6 +101,15 @@ class TestShifted:
         rng = random.Random(503)
         for _ in range(40):
             assert is_shifted(random_shifted_complex(rng, 7))
+
+    def test_facets_agree_with_every_face(self):
+        rng = random.Random(512)
+        verdicts = []
+        for _ in range(300):
+            cx = random_complex(rng, 7, max_facets=4)
+            verdicts.append(is_shifted(cx))
+            assert verdicts[-1] == brute_is_shifted(cx), cx
+        assert 0 < sum(verdicts) < len(verdicts)
 
 
 class TestVertexDecomposable:

@@ -27,6 +27,7 @@ from srchordal import (
     truncation_leq,
 )
 from generators import random_complex, random_ideal
+from oracles import all_subsets_component
 
 EX0 = SimplicialComplex.from_facets(5, [[2, 5], [1, 4, 5], [1, 2, 3, 4]])
 
@@ -83,6 +84,13 @@ class TestDegreeComponent:
 
     def test_no_members_gives_zero(self):
         assert degree_component(SquarefreeIdeal(3, [[1, 2, 3]]), 2).is_zero
+
+    def test_matches_all_subsets_definition(self):
+        rng = random.Random(203)
+        for _ in range(100):
+            ideal = random_ideal(rng, 9)
+            for j in range(1, ideal.n + 1):
+                assert degree_component(ideal, j) == all_subsets_component(ideal, j)
 
     def test_closure_duality(self):
         # the degree-(d+1) component corresponds to the d-closure
