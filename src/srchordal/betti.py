@@ -22,6 +22,24 @@ diagonal, which decides `has_linear_resolution`; and
 `is_componentwise_linear` asks that of the square-free degree
 components up to the top generator degree.
 
+The walk builds one chain complex and restricts it to each W. It lists
+the faces of Δ_U, U being the union of all generator supports and so
+the top of the lattice, a vertex at a time: adding vertex v lists G ∪ {v}
+for each listed face G that it leaves free of generators. Each face gets
+its boundary row over the faces one size smaller, in one column index
+per size, and keeps it as the complex grows. For each W it keeps the
+faces inside W (f & ~W == 0) and ranks their rows. That is exact: the
+boundary of a face inside W lies inside W, so the columns of the other
+faces are zero in every kept row. W ascends, so its top vertex never
+falls, and the walk lists only the vertices of U up to the top vertex
+of the W it has reached: a caller that stops early never pays for the
+faces of the rest of Δ_U, of which there may be exponentially many. It
+lists Δ_U rather than Δ on all of [n] because a vertex outside U lies in
+no generator and is a cone point of Δ: Δ has twice the faces of Δ_U for
+each such vertex, none of them inside any W. `reduced_homology_dims`
+lists a whole complex from its facets and takes the restriction at its
+ambient set.
+
 Unit anchors for the conventions: the ideal (x1) in one variable has
 the single entry (0, 1) -> 1, and (x1*x2) in two variables has
 (0, 2) -> 1.
@@ -32,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bitsets import iter_vertices, maximal_elements
+from .bitsets import iter_vertices
 from .complexes import SimplicialComplex
 from .errors import (
     DEFAULT_BUDGET,
@@ -41,7 +59,7 @@ from .errors import (
     SearchBudgetExceeded,
     ZeroIdealError,
 )
-from .ideals import SquarefreeIdeal, degree_component, stanley_reisner_complex
+from .ideals import SquarefreeIdeal, degree_component
 from .linalg import gf2_rank, gfp_rank, int_rank
 
 _PRIME_LIMIT = 1 << 31
@@ -96,30 +114,100 @@ GF2 = FieldSpec(2)
 CHAR0 = FieldSpec(0)
 
 
-def _boundary_rank(lower: list[int], upper: list[int], field: FieldSpec) -> int:
-    """Rank of the boundary map from the span of `upper` faces to `lower`."""
-    if not lower or not upper:
-        return 0
-    index = {f: i for i, f in enumerate(lower)}
-    if field.characteristic == 2:
-        rows = []
-        for face in upper:
-            vec = 0
-            for v in iter_vertices(face):
-                vec |= 1 << index[face & ~(1 << (v - 1))]
+class _ChainComplex:
+    """The reduced chain complex of a complex, listed face by face and
+    restricted to any vertex set.
+
+    `faces[k]` holds the listed faces with k + 1 vertices and `rows[k]`
+    their boundary rows over the faces one size smaller, whose columns
+    number those faces in the order they were listed, one numbering per
+    size: bitmask rows over GF(2), sparse dicts {column: ±1} otherwise.
+    A face is listed after its boundary, and a listed face keeps its row
+    and column, so the complex can grow a vertex at a time. The
+    restriction to W keeps the faces inside W and their rows. The
+    boundary of a face inside W lies inside W, so the columns of the
+    faces left out are zero in every kept row.
+    """
+
+    __slots__ = ("characteristic", "faces", "rows", "columns")
+
+    def __init__(self, field: FieldSpec):
+        self.characteristic = field.characteristic
+        self.faces: list[list[int]] = []
+        self.rows: list[list] = []
+        self.columns: list[dict[int, int]] = [{0: 0}]  # by size; the empty face first
+
+    @classmethod
+    def of_complex(cls, cx: SimplicialComplex, field: FieldSpec) -> "_ChainComplex":
+        chain = cls(field)
+        for k in range(cx.dim + 1):
+            chain._list(k, cx.faces_of_dim(k))
+        return chain
+
+    def _list(self, k: int, faces: list[int]) -> None:
+        """List faces with k + 1 vertices, whose boundary faces are listed."""
+        if k == len(self.faces):
+            self.faces.append([])
+            self.rows.append([])
+            self.columns.append({})
+        index = self.columns[k]
+        column = self.columns[k + 1]
+        listed = self.faces[k]
+        rows = self.rows[k]
+        two = self.characteristic == 2
+        for face in faces:
+            if two:
+                vec = 0
+                for v in iter_vertices(face):
+                    vec |= 1 << index[face & ~(1 << (v - 1))]
+            else:
+                vec = {}
+                sign = 1
+                for v in iter_vertices(face):
+                    vec[index[face & ~(1 << (v - 1))]] = sign
+                    sign = -sign
+            column[face] = len(listed)
+            listed.append(face)
             rows.append(vec)
-        return gf2_rank(rows)
-    rows = []
-    for face in upper:
-        vec = [0] * len(lower)
-        sign = 1
-        for v in iter_vertices(face):
-            vec[index[face & ~(1 << (v - 1))]] = sign
-            sign = -sign
-        rows.append(vec)
-    if field.characteristic == 0:
-        return int_rank(rows)
-    return gfp_rank(rows, field.characteristic)
+
+    def add_vertex(self, v: int, links: list[int]) -> None:
+        """List the faces that vertex v adds to a complex whose faces are
+        the sets containing no generator: G ∪ {v} for each listed face G
+        (the empty face too) that contains no member of `links`, the
+        generators through v with v taken out."""
+        bit = 1 << (v - 1)
+        old = [0]  # the faces listed before v, one size smaller than the new
+        k = 0
+        while old:
+            new = [f | bit for f in old if all(link & ~f for link in links)]
+            if not new:
+                break
+            old = self.faces[k][:] if k < len(self.faces) else []
+            self._list(k, new)
+            k += 1
+
+    def _rank(self, rows: list) -> int:
+        p = self.characteristic
+        if p == 2:
+            return gf2_rank(rows)
+        if p == 0:
+            return int_rank(rows)
+        return gfp_rank(rows, p)
+
+    def reduced_homology(self, w: int) -> dict[int, int]:
+        """Reduced homology dimensions of the restriction to W, in each
+        degree from -1 to the dimension of the restriction."""
+        outside = ~w
+        counts = [1]  # faces inside W by size; the empty face is always there
+        ranks = [0]  # ranks of the boundary maps by size of the faces mapped
+        for faces, rows in zip(self.faces, self.rows):
+            inside = [row for face, row in zip(faces, rows) if not face & outside]
+            if not inside:
+                break
+            counts.append(len(inside))
+            ranks.append(self._rank(inside))
+        ranks.append(0)
+        return {k - 1: counts[k] - ranks[k] - ranks[k + 1] for k in range(len(counts))}
 
 
 def reduced_homology_dims(cx: SimplicialComplex, field: FieldSpec = GF2) -> dict[int, int]:
@@ -129,19 +217,7 @@ def reduced_homology_dims(cx: SimplicialComplex, field: FieldSpec = GF2) -> dict
     """
     if cx.is_void:
         return {}
-    top = cx.dim
-    faces: dict[int, list[int]] = {-1: [0]}
-    for k in range(0, top + 1):
-        faces[k] = cx.faces_of_dim(k)
-    ranks: dict[int, int] = {}
-    for k in range(0, top + 1):
-        ranks[k] = _boundary_rank(faces[k - 1], faces[k], field)
-    ranks[top + 1] = 0
-    out: dict[int, int] = {}
-    out[-1] = 1 - ranks.get(0, 0)
-    for k in range(0, top + 1):
-        out[k] = len(faces[k]) - ranks[k] - ranks[k + 1]
-    return out
+    return _ChainComplex.of_complex(cx, field).reduced_homology(cx.ambient)
 
 
 @dataclass(frozen=True)
@@ -213,8 +289,12 @@ def _lattice_homology(
 
     The lattice is closed under union first, one generator at a time,
     and more than `budget` members raise `SearchBudgetExceeded` before
-    any homology is computed. A caller that stops early skips the
-    homology of the remaining members.
+    any homology is computed. The chain complex of Δ_U, U the top of
+    the lattice (the union of all supports), is then listed once, a
+    vertex at a time as far as the top vertex of the current W, and
+    each W ranks the rows of its faces in it. A caller that stops early
+    skips the homology of the remaining members and the faces on the
+    vertices it never reached.
     """
     lattice: set[int] = set()
     for g in ideal.gens:
@@ -224,11 +304,15 @@ def _lattice_homology(
             raise SearchBudgetExceeded(
                 f"the LCM lattice exceeded the member budget ({budget})"
             )
-    cx = stanley_reisner_complex(ideal)
+    top = max(lattice)
+    chain = _ChainComplex(field)
+    listed = 0
     for w in sorted(lattice):
-        induced_facets = maximal_elements(f & w for f in cx.facets)
-        sub = SimplicialComplex._raw(ideal.n, w, induced_facets)
-        homology = {h: dim for h, dim in reduced_homology_dims(sub, field).items() if dim}
+        for v in iter_vertices(top & ((1 << w.bit_length()) - 1) & ~listed):
+            bit = 1 << (v - 1)
+            chain.add_vertex(v, [g & ~bit for g in ideal.gens if g & bit])
+            listed |= bit
+        homology = {h: dim for h, dim in chain.reduced_homology(w).items() if dim}
         if homology:
             yield w, homology
 

@@ -55,21 +55,39 @@ def subsets_up_to_size(mask: int, k: int) -> Iterator[int]:
 
 
 def maximal_elements(masks: Iterable[int]) -> tuple[int, ...]:
-    """Inclusion-maximal masks, deduplicated, ascending."""
+    """Inclusion-maximal masks, deduplicated, ascending.
+
+    Distinct masks of equal size never contain one another, so each mask
+    is compared only with the kept masks of strictly larger size.
+    """
     uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m), reverse=True)
     kept: list[int] = []
+    larger: list[int] = []
+    size = -1
     for m in uniq:
-        if not any(m & ~k == 0 for k in kept):
+        if m.bit_count() != size:
+            size = m.bit_count()
+            larger = kept[:]
+        if not any(m & ~k == 0 for k in larger):
             kept.append(m)
     return tuple(sorted(kept))
 
 
 def minimal_elements(masks: Iterable[int]) -> tuple[int, ...]:
-    """Inclusion-minimal masks, deduplicated, ascending."""
+    """Inclusion-minimal masks, deduplicated, ascending.
+
+    Distinct masks of equal size never contain one another, so each mask
+    is compared only with the kept masks of strictly smaller size.
+    """
     uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m))
     kept: list[int] = []
+    smaller: list[int] = []
+    size = -1
     for m in uniq:
-        if not any(k & ~m == 0 for k in kept):
+        if m.bit_count() != size:
+            size = m.bit_count()
+            smaller = kept[:]
+        if not any(k & ~m == 0 for k in smaller):
             kept.append(m)
     return tuple(sorted(kept))
 

@@ -202,6 +202,12 @@ def find_simplicial_order(
     """
     if not is_d_closure(cx, d):
         raise NotAClosureError(f"complex is not a {d}-closure")
+    return _search_simplicial_order(cx, d, budget)
+
+
+def _search_simplicial_order(cx: SimplicialComplex, d: int, budget: int) -> FreeSequence | None:
+    """`find_simplicial_order` for a complex the caller has just built as
+    a d-closure, which is not checked again."""
     target = simplex_skeleton(cx.n, cx.ambient, d - 1).facets
     if cx.facets == target:
         return FreeSequence(KIND_SIMPLICIAL_ORDER, d, ())
@@ -285,8 +291,17 @@ def is_d_collapsible(
 def is_d_chordal(cx: SimplicialComplex, d: int, *, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether the d-closure admits a simplicial order (or already is
     the full (d-1)-skeleton)."""
-    closure = d_closure(cx, d)
-    return find_simplicial_order(closure, d, budget=budget) is not None
+    return d_chordal_order(cx, d, budget=budget) is not None
+
+
+def d_chordal_order(
+    cx: SimplicialComplex, d: int, *, budget: int = DEFAULT_BUDGET
+) -> FreeSequence | None:
+    """A simplicial order of the d-closure of the complex, as
+    `find_simplicial_order` returns it, or None when there is none.
+
+    The closure is built here, so it is not checked again."""
+    return _search_simplicial_order(d_closure(cx, d), d, budget)
 
 
 def chordality_check_range(cx: SimplicialComplex) -> tuple[int, int]:

@@ -33,6 +33,7 @@ from .chordality import (
     DEFAULT_BUDGET,
     FreeSequence,
     chordality_check_range,
+    d_chordal_order,
     d_closure,
     find_simplicial_order,
     is_d_chordal,
@@ -199,8 +200,7 @@ def _run_closure(args) -> int:
 def _run_chordal(args) -> int:
     cx = _load_complex(args.input)
     if args.d is not None:
-        closure = d_closure(cx, args.d)
-        seq = find_simplicial_order(closure, args.d, budget=args.budget)
+        seq = d_chordal_order(cx, args.d, budget=args.budget)
         payload = {
             "d": args.d,
             "d_chordal": seq is not None,
@@ -213,8 +213,7 @@ def _run_chordal(args) -> int:
     certificates = {}
     verdict = True
     for d in checked:
-        closure = d_closure(cx, d)
-        seq = find_simplicial_order(closure, d, budget=args.budget)
+        seq = d_chordal_order(cx, d, budget=args.budget)
         if seq is None:
             verdict = False
             certificates[str(d)] = None

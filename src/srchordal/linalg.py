@@ -1,10 +1,32 @@
-"""Exact matrix ranks: GF(2) on bitset rows, GF(p), and integer Bareiss.
+"""Exact ranks of sparse matrices over GF(2), GF(p) and the rationals.
+
+Rows are sparse. A GF(2) row is a bitmask int, bit c set iff column c
+holds a 1. A GF(p) or rational row is a dict {column: entry} of integer
+entries; absent columns are zero. A boundary row of a face then costs
+as much as the face has vertices, whatever the width of the matrix.
+
+Every routine eliminates on the leading (lowest) column: a row is
+reduced against the pivot stored under its leading column until it is
+zero or leads in a column with no pivot yet, where it becomes the
+pivot. Pivots lead in distinct columns, so they are independent, and
+their count is the rank.
 
 No floating point anywhere; Betti numbers are integers over a fixed
-field and must be computed exactly.
+field and must be computed exactly. Over the rationals the updates are
+fraction-free: a row leading with a meets a pivot leading with b as
+row <- row - (a/b)*pivot when b divides a, and as
+row <- b*row - a*pivot otherwise. Each is an invertible row operation
+over Q (b != 0), so the rank is unchanged, and Python ints neither
+round nor overflow. A row is divided by the gcd of its entries after
+every step that scaled it, and a new pivot is too. That keeps entries
+small on the boundary matrices ranked here, whose entries are 0 and
+±1, but it is no size bound: unlike dense Bareiss, whose entries are
+all minors, nothing caps the growth on adversarial integer matrices.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -22,56 +44,60 @@ def gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-def gfp_rank(rows: list[list[int]], p: int) -> int:
-    """Rank over GF(p) by straightforward modular elimination."""
-    mat = [[x % p for x in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        pivot_row = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot_row is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        prow = mat[rank]
-        for r in range(rank + 1, len(mat)):
-            factor = mat[r][col]
-            if factor:
-                scale = factor * inv % p
-                row = mat[r]
-                for c in range(col, ncols):
-                    row[c] = (row[c] - scale * prow[c]) % p
-        rank += 1
-        col += 1
-    return rank
+def gfp_rank(rows: list[dict[int, int]], p: int) -> int:
+    """Rank over GF(p), p prime, of sparse rows {column: entry}."""
+    pivots: dict[int, dict[int, int]] = {}
+    for given in rows:
+        row = {c: x % p for c, x in given.items() if x % p}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {c: x * inv % p for c, x in row.items()}
+                break
+            q = row[lead]
+            for c, x in pivot.items():
+                v = (row.get(c, 0) - q * x) % p
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+    return len(pivots)
 
 
-def int_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals via fraction-free (Bareiss) elimination."""
-    mat = [list(row) for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    col = 0
-    prev = 1
-    while rank < len(mat) and col < ncols:
-        pivot_row = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot_row is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        piv = mat[rank][col]
-        for r in range(rank + 1, len(mat)):
-            row = mat[r]
-            head = row[col]
-            for c in range(col, ncols):
-                row[c] = (piv * row[c] - head * mat[rank][c]) // prev
-        prev = piv
-        rank += 1
-        col += 1
-    return rank
+def int_rank(rows: list[dict[int, int]]) -> int:
+    """Rank over the rationals of sparse integer rows {column: entry},
+    by fraction-free elimination."""
+    pivots: dict[int, dict[int, int]] = {}
+    for given in rows:
+        row = {c: x for c, x in given.items() if x}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            a = row[lead]
+            if pivot is None:
+                if a != 1 and a != -1:
+                    g = gcd(*row.values())
+                    if g > 1:
+                        row = {c: x // g for c, x in row.items()}
+                pivots[lead] = row
+                break
+            b = pivot[lead]
+            scaled = a % b
+            if scaled:
+                row = {c: b * x for c, x in row.items()}
+                q = a
+            else:
+                q = a // b
+            for c, x in pivot.items():
+                v = row.get(c, 0) - q * x
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+            if scaled and row:
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {c: x // g for c, x in row.items()}
+    return len(pivots)

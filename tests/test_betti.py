@@ -164,7 +164,7 @@ class TestBettiTable:
         ],
     )
     def test_visits_only_unions_of_generator_supports(self, monkeypatch, n, gens):
-        import srchordal.betti
+        from srchordal.betti import _ChainComplex
 
         supports = [sum(1 << (v - 1) for v in g) for g in gens]
         unions = {
@@ -173,15 +173,70 @@ class TestBettiTable:
             for chosen in combinations(supports, size)
         }
         calls = []
-        real = srchordal.betti.reduced_homology_dims
+        real = _ChainComplex.reduced_homology
 
-        def counting(cx, field):
-            calls.append(cx.ambient)
-            return real(cx, field)
+        def counting(chain, w):
+            calls.append(w)
+            return real(chain, w)
 
-        monkeypatch.setattr(srchordal.betti, "reduced_homology_dims", counting)
+        monkeypatch.setattr(_ChainComplex, "reduced_homology", counting)
         betti_table(SquarefreeIdeal(n, gens), GF2)
         assert sorted(calls) == sorted(unions)
+
+    @pytest.mark.parametrize("field", [GF2, CHAR0, FieldSpec(3)])
+    def test_lists_each_face_once_per_walk(self, monkeypatch, field):
+        # The faces and boundary rows of Δ_U are built once, a vertex at a
+        # time, and restricted to each W: every face of Δ_U is listed
+        # exactly once, however many W, and no face outside U.
+        from srchordal.betti import _ChainComplex
+
+        ideal = SquarefreeIdeal(9, [[1, 2, 3], [3, 4], [5, 6, 7], [2, 8], [1, 8]])
+        top = reduce(or_, ideal.gens)
+        delta = stanley_reisner_complex(ideal).induced(top)
+        listed = []
+        real = _ChainComplex._list
+
+        def counting(chain, k, faces):
+            listed.extend(faces)
+            return real(chain, k, faces)
+
+        monkeypatch.setattr(_ChainComplex, "_list", counting)
+        table = betti_table(ideal, field)
+        assert sorted(listed) == sorted(
+            f for k in range(delta.dim + 1) for f in delta.faces_of_dim(k)
+        )
+        assert sum(table.as_dict().values()) > len(ideal.gens)
+
+    @pytest.mark.parametrize("field", BOTH_FIELDS)
+    def test_early_witness_lists_only_the_faces_it_reaches(self, monkeypatch, field):
+        # 18 disjoint edges in 40 variables: Δ_U is the join of 18 copies
+        # of S^0, about 3^18 faces, but the witness is the third member
+        # of the lattice. The walk lists only the faces on its vertices.
+        from srchordal.betti import _ChainComplex
+
+        ideal = SquarefreeIdeal(40, [[2 * k + 1, 2 * k + 2] for k in range(18)])
+        listed = []
+        real = _ChainComplex._list
+
+        def counting(chain, k, faces):
+            listed.extend(faces)
+            return real(chain, k, faces)
+
+        monkeypatch.setattr(_ChainComplex, "_list", counting)
+        assert nonlinear_witness(ideal, field) == (0b1111, 1)
+        assert sorted(listed) == sorted(
+            a | b for a in (0, 1, 2) for b in (0, 4, 8) if a | b
+        )
+
+    def test_gf3_agrees_with_koszul_oracle(self):
+        from oracles import koszul_betti_squarefree
+
+        rng = random.Random(411)
+        for _ in range(40):
+            ideal = random_ideal(rng, 5)
+            assert betti_table(ideal, FieldSpec(3)).as_dict() == koszul_betti_squarefree(
+                ideal, char=3
+            )
 
     def test_json_and_pretty(self):
         table = betti_table(SquarefreeIdeal(3, [[1, 2], [1, 3], [2, 3]]), GF2)

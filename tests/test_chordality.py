@@ -12,6 +12,7 @@ from srchordal import (
     SimplicialComplex,
     VoidComplexError,
     chordality_check_range,
+    d_chordal_order,
     d_closure,
     find_simplicial_order,
     free_faces,
@@ -190,6 +191,17 @@ class TestIsDChordal:
 
     def test_dunce_hat_not_2_chordal(self):
         assert not is_d_chordal(DUNCE, 2)
+
+    def test_order_of_the_closure_is_the_searched_order(self):
+        rng = random.Random(707)
+        for _ in range(40):
+            cx = random_complex(rng, 6)
+            for d in (1, 2, 3):
+                order = d_chordal_order(cx, d)
+                assert order == find_simplicial_order(d_closure(cx, d), d)
+                assert (order is not None) == is_d_chordal(cx, d)
+                if order is not None:
+                    assert verify_sequence(d_closure(cx, d), order, d)
 
 
 class TestIsChordal:

@@ -16,6 +16,10 @@ def files(tmp_path):
         "malformed": tmp_path / "malformed.txt",
         "ex0": tmp_path / "ex0.json",
         "wide_lattice": tmp_path / "wide_lattice.txt",
+        "hollow_triangle": tmp_path / "hollow_triangle.json",
+        "rp2_ideal": tmp_path / "rp2_ideal.txt",
+        "stable_squares": tmp_path / "stable_squares.txt",
+        "not_stable": tmp_path / "not_stable.txt",
     }
     paths["triangle"].write_text("x1 x2\nx1 x3\nx2 x3\n")
     paths["two_edges"].write_text("n=4\nx1 x2\nx3 x4\n")
@@ -24,6 +28,14 @@ def files(tmp_path):
     # I_[3] has 55 generators and an LCM lattice of about 4 * 10^8
     # members; never run this input without a small budget
     paths["wide_lattice"].write_text("n=30\nx1 x2\nx1 x3\nx4 x5 x6 x7\n")
+    paths["hollow_triangle"].write_text(json.dumps({"n": 3, "facets": [[1, 2], [1, 3], [2, 3]]}))
+    # the Stanley-Reisner ideal of the minimal 6-vertex real projective plane
+    paths["rp2_ideal"].write_text(
+        "x1 x2 x3\nx2 x3 x4\nx1 x2 x5\nx1 x4 x5\nx3 x4 x5\n"
+        "x1 x3 x6\nx1 x4 x6\nx2 x4 x6\nx2 x5 x6\nx3 x5 x6\n"
+    )
+    paths["stable_squares"].write_text("x1^2\nx1*x2\nx2^2\n")
+    paths["not_stable"].write_text("x1*x2\nx2^2\n")
     return {name: str(p) for name, p in paths.items()}
 
 
@@ -104,6 +116,167 @@ class TestExitStatus:
             main(["betti", "--workers", "2", files["triangle"]])
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+
+class TestSubcommands:
+    def test_closure(self, files, capsys):
+        # the 1-closure is the clique complex of the graph of EX0
+        code, out = run(["closure", "--d", "1", files["ex0"]], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out) == {"n": 5, "facets": [[1, 2, 3, 4], [1, 2, 4, 5]]}
+
+    def test_collapsible_certificate_replays(self, files, tmp_path, capsys):
+        code, out = run(["collapsible", "--d", "2", files["ex0"]], capsys)
+        payload = json.loads(out)
+        assert code == EXIT_OK
+        assert payload["d"] == 2 and payload["collapsible"] is True
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(payload["certificate"]))
+        code, out = run(["verify", "--certificate", str(cert), files["ex0"]], capsys)
+        assert (code, json.loads(out)) == (EXIT_OK, {"valid": True})
+
+    def test_collapsible_false_on_hollow_triangle(self, files, capsys):
+        # every vertex lies in two edges, so no face of dimension < 1 is free
+        code, out = run(["collapsible", "--d", "1", files["hollow_triangle"]], capsys)
+        assert code == EXIT_FALSE
+        assert json.loads(out) == {"d": 1, "collapsible": False, "certificate": None}
+
+    def test_linres(self, files, capsys):
+        code, out = run(["linres", "--d", "2", files["triangle"]], capsys)
+        assert (code, json.loads(out)) == (EXIT_OK, {"d": 2, "linear_resolution": {"gf2": True}})
+        code, out = run(["linres", "--d", "2", "--field", "both", files["two_edges"]], capsys)
+        assert code == EXIT_FALSE
+        assert json.loads(out)["linear_resolution"] == {"gf2": False, "char0": False}
+
+    def test_linres_degree_mismatch_is_an_input_error(self, files, capsys):
+        code = main(["linres", "--d", "3", files["triangle"]])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert "not equigenerated in 3" in captured.err
+
+    def test_classify(self, files, capsys):
+        # the edge ideal of the triangle is square-free strongly stable, and
+        # its complex (three points) is chordal with a linear resolution
+        code, out = run(["classify", files["triangle"]], capsys)
+        report = json.loads(out)
+        assert code == EXIT_OK
+        assert set(report) == {
+            "stable", "strongly_stable", "shifted", "vertex_decomposable",
+            "gotzmann", "chordal", "componentwise_linear",
+        }
+        assert report["stable"] and report["strongly_stable"] and report["chordal"]
+        assert report["componentwise_linear"] == {"gf2": True, "char0": True}
+
+    def test_nonfaces(self, files, capsys):
+        code, out = run(["nonfaces", files["ex0"]], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out) == {"minimal_nonfaces": [[1, 2, 5], [3, 5], [2, 4, 5]]}
+
+    def test_sigma(self, files, capsys):
+        # sigma(x1^2) = x1x2, sigma(x1x2) = x1x3, sigma(x2^2) = x2x3
+        code, out = run(["sigma", files["stable_squares"]], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out) == {
+            "ideal": {"n": 3, "generators": [[1, 2], [1, 3], [2, 3]]},
+            "complex": {"n": 3, "facets": [[1], [2], [3]]},
+        }
+
+    def test_sigma_rejects_an_ideal_that_is_not_strongly_stable(self, files, capsys):
+        code = main(["sigma", files["not_stable"]])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert "strongly stable" in captured.err
+
+    def test_betti_both_fields_agree(self, files, capsys):
+        code, out = run(["betti", "--field", "both", files["two_edges"]], capsys)
+        payload = json.loads(out)
+        assert code == EXIT_OK
+        assert payload["agree"] is True
+        for label in ("gf2", "char0"):
+            assert payload[label]["field"] == label
+            assert payload[label]["entries"] == [
+                {"i": 0, "j": 2, "beta": 2}, {"i": 1, "j": 4, "beta": 1},
+            ]
+
+    def test_betti_both_fields_disagree_on_rp2(self, files, capsys):
+        # RP^2 has 2-torsion: its ideal is 3-linear except over GF(2)
+        code, out = run(["betti", "--field", "both", files["rp2_ideal"]], capsys)
+        payload = json.loads(out)
+        assert code == EXIT_OK
+        assert payload["agree"] is False
+        linear = [{"i": 0, "j": 3, "beta": 10}, {"i": 1, "j": 4, "beta": 15},
+                  {"i": 2, "j": 5, "beta": 6}]
+        assert payload["char0"]["entries"] == linear
+        assert payload["gf2"]["entries"] == linear + [
+            {"i": 2, "j": 6, "beta": 1}, {"i": 3, "j": 6, "beta": 1},
+        ]
+
+
+class TestPrettyFormat:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["betti", "{triangle}"], "[gf2]\n        0  1\n    2:  3  2\n"),
+            (["closure", "--d", "1", "{ex0}"], "SimplicialComplex(n=5, <{1,2,3,4},{1,2,4,5}>)\n"),
+            (["chordal", "{ex0}"], "chordal: True (checked d = [1, 2])\n"),
+            (["chordal", "--d", "2", "{ex0}"], "2-chordal: True\n"),
+            (["collapsible", "--d", "1", "{hollow_triangle}"], "1-collapsible: False\n"),
+            (["linres", "--d", "2", "{triangle}"], "2-linear resolution: {'gf2': True}\n"),
+            (["cwl", "{triangle}"], "componentwise linear: {'gf2': True}\n"),
+            (["nonfaces", "{ex0}"], "[1, 2, 5]\n[3, 5]\n[2, 4, 5]\n"),
+            (
+                ["sigma", "{stable_squares}"],
+                "n=3\nx1*x2\nx1*x3\nx2*x3\nSimplicialComplex(n=3, <{1},{2},{3}>)\n",
+            ),
+        ],
+        ids=["betti", "closure", "chordal", "chordal_d", "collapsible", "linres", "cwl",
+             "nonfaces", "sigma"],
+    )
+    def test_pretty_output(self, files, capsys, argv, expected):
+        argv = [a.format(**files) for a in argv]
+        code, out = run(argv[:1] + ["--format", "pretty"] + argv[1:], capsys)
+        assert code in (EXIT_OK, EXIT_FALSE)
+        assert out == expected
+
+    def test_classify_pretty_lists_every_family(self, files, capsys):
+        code, out = run(["classify", "--format", "pretty", files["two_edges"]], capsys)
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "stable", "strongly_stable", "shifted", "vertex_decomposable",
+            "gotzmann", "chordal", "componentwise_linear",
+        ]
+        assert lines[-1] == "componentwise_linear: {'gf2': False, 'char0': False}"
+
+
+class TestClosureCount:
+    def test_one_closure_per_chordal_d_operation(self, files, monkeypatch, capsys):
+        # the search trusts the closure it is handed instead of rebuilding it
+        import srchordal.chordality
+        import srchordal.cli
+
+        real = srchordal.chordality.d_closure
+        calls = []
+
+        def counting(cx, d):
+            calls.append(d)
+            return real(cx, d)
+
+        monkeypatch.setattr(srchordal.chordality, "d_closure", counting)
+        monkeypatch.setattr(srchordal.cli, "d_closure", counting)
+        code, out = run(["chordal", "--d", "2", files["ex0"]], capsys)
+        assert code == EXIT_OK and json.loads(out)["d_chordal"] is True
+        assert calls == [2]
+        calls.clear()
+        code, _ = run(["chordal", files["ex0"]], capsys)
+        assert code == EXIT_OK
+        assert calls == [1, 2]
+        calls.clear()
+        assert srchordal.chordality.is_d_chordal(
+            srchordal.cli.SimplicialComplex.from_facets(5, EX0_FACETS), 2
+        )
+        assert calls == [2]
 
 
 class TestParserReuse:

@@ -1,6 +1,7 @@
 """Stanley-Reisner correspondence, degree components, σ, and the text format."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +92,15 @@ class TestDegreeComponent:
             ideal = random_ideal(rng, 9)
             for j in range(1, ideal.n + 1):
                 assert degree_component(ideal, j) == all_subsets_component(ideal, j)
+
+    def test_forty_variable_component(self):
+        # 5-subsets of [40] holding {1,2}, {1,3} or {4,5,6,7}, by inclusion-
+        # exclusion: 2 * C(38,3) + C(36,1) - C(37,2). An equal-size antichain
+        # of this size took 18.5 s to reduce with all-pairs comparisons.
+        ideal = SquarefreeIdeal(40, [[1, 2], [1, 3], [4, 5, 6, 7]])
+        comp = degree_component(ideal, 5)
+        assert len(comp.gens) == 2 * comb(38, 3) + 36 - comb(37, 2) == 16242
+        assert all(g.bit_count() == 5 for g in comp.gens)
 
     def test_closure_duality(self):
         # the degree-(d+1) component corresponds to the d-closure
