@@ -49,11 +49,6 @@ def subsets_of_size(mask: int, k: int) -> Iterator[int]:
         yield m
 
 
-def subsets_up_to_size(mask: int, k: int) -> Iterator[int]:
-    for size in range(0, k + 1):
-        yield from subsets_of_size(mask, size)
-
-
 def maximal_elements(masks: Iterable[int]) -> tuple[int, ...]:
     """Inclusion-maximal masks, deduplicated, ascending.
 

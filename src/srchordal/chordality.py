@@ -1,19 +1,29 @@
-"""Closures, free and simplicial faces, the two backtracking searches,
-and certificate replay.
+"""Closures, free and simplicial faces, one backtracking search for both
+kinds of free sequence, and certificate replay.
 
-Both searches are exhaustive with memoization of failed states, never
+A collapse (Wegner's d-collapsing) deletes a free face with at most d
+vertices and every face above it, and ends at the void complex. A
+simplicial order deletes the proper superfaces of a free d-vertex
+non-facet of a d-closure, and ends at the (d-1)-skeleton. The paper
+proves that a d-closure has a simplicial order iff it is d-collapsible;
+here one search, `_search`, runs both with two move rules, and the
+kinds differ only in the faces tried, the move and the goal.
+
+The search is exhaustive with memoization of failed states, never
 greedy: collapsing can paint itself into a corner through a "bad" free
 face, and it is open whether greedy simplicial deletion can do the same,
 so a failed branch must not decide the verdict. Certificates are
-returned as FreeSequence values that `verify_sequence` can replay
-without trusting the search.
+returned as FreeSequence values that `verify_sequence` replays with the
+same move and goal, without trusting the search.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
-from .bitsets import maximal_elements, subsets_of_size, subsets_up_to_size, vertices_from_mask
+from .bitsets import maximal_elements, subsets_of_size, vertices_from_mask
 from .complexes import SimplicialComplex, mask_from_json_labels, simplex_skeleton
 from .errors import (
     DEFAULT_BUDGET,
@@ -26,6 +36,8 @@ from .errors import (
 
 KIND_COLLAPSE = "collapse"
 KIND_SIMPLICIAL_ORDER = "simplicial_order"
+# every kind of free sequence, with the name of its search in budget messages
+_SEARCH_NAMES = {KIND_COLLAPSE: "collapsing", KIND_SIMPLICIAL_ORDER: "simplicial-order"}
 
 
 @dataclass(frozen=True)
@@ -58,7 +70,7 @@ class FreeSequence:
             faces = data["faces"]
         except (KeyError, TypeError) as exc:
             raise FormatError('certificate JSON needs "kind", "d" and "faces"') from exc
-        if kind not in (KIND_COLLAPSE, KIND_SIMPLICIAL_ORDER):
+        if kind not in _SEARCH_NAMES:
             raise FormatError(f"unknown certificate kind {kind!r}")
         if type(d) is not int or d < 1:
             raise FormatError('"d" must be a positive integer')
@@ -140,53 +152,25 @@ def free_faces(cx: SimplicialComplex, max_dim: int) -> list[int]:
     Facets themselves qualify; so does the empty face when the complex
     has a single facet.
     """
-    return _free_faces_up_to_size(cx, max_dim + 1)
+    return _free_faces(cx, range(max_dim + 2))
 
 
-def _free_faces_up_to_size(cx: SimplicialComplex, max_size: int) -> list[int]:
-    cands: set[int] = set()
+def _free_faces(cx: SimplicialComplex, sizes: Sequence[int]) -> list[int]:
+    """Free faces with a vertex count in `sizes`, ascending. One pass over
+    the facets counts the facets that contain each subset of an admitted
+    size; a subset is free when its count is 1."""
+    count: Counter[int] = Counter()
     for f in cx.facets:
-        cands.update(subsets_up_to_size(f, min(max_size, f.bit_count())))
-    out = []
-    for c in cands:
-        count = 0
-        for f in cx.facets:
-            if c & ~f == 0:
-                count += 1
-                if count > 1:
-                    break
-        if count == 1:
-            out.append(c)
-    return sorted(out)
-
-
-def _free_faces_of_size(cx: SimplicialComplex, size: int) -> list[int]:
-    cands: set[int] = set()
-    for f in cx.facets:
-        cands.update(subsets_of_size(f, size))
-    out = []
-    for c in cands:
-        count = 0
-        for f in cx.facets:
-            if c & ~f == 0:
-                count += 1
-                if count > 1:
-                    break
-        if count == 1:
-            out.append(c)
-    return sorted(out)
+        for k in sizes:
+            count.update(subsets_of_size(f, k))
+    return sorted(e for e, c in count.items() if c == 1)
 
 
 def simplicial_faces(cx: SimplicialComplex, d: int) -> list[int]:
     """Free faces of dimension exactly d-1 of a d-closure."""
     if not is_d_closure(cx, d):
         raise NotAClosureError(f"complex is not a {d}-closure")
-    return _free_faces_of_size(cx, d)
-
-
-def _order_candidates(cx: SimplicialComplex, d: int) -> list[int]:
-    facets = set(cx.facets)
-    return [f for f in _free_faces_of_size(cx, d) if f not in facets]
+    return _free_faces(cx, (d,))
 
 
 def find_simplicial_order(
@@ -202,20 +186,55 @@ def find_simplicial_order(
     """
     if not is_d_closure(cx, d):
         raise NotAClosureError(f"complex is not a {d}-closure")
-    return _search_simplicial_order(cx, d, budget)
+    return _search(cx, KIND_SIMPLICIAL_ORDER, d, budget)
 
 
-def _search_simplicial_order(cx: SimplicialComplex, d: int, budget: int) -> FreeSequence | None:
-    """`find_simplicial_order` for a complex the caller has just built as
-    a d-closure, which is not checked again."""
-    target = simplex_skeleton(cx.n, cx.ambient, d - 1).facets
-    if cx.facets == target:
-        return FreeSequence(KIND_SIMPLICIAL_ORDER, d, ())
+def is_d_collapsible(
+    cx: SimplicialComplex, d: int, *, budget: int = DEFAULT_BUDGET
+) -> FreeSequence | None:
+    """Search for a free sequence of faces of dimension < d reducing the
+    complex to void; None when the complex is not d-collapsible.
+
+    Only inclusion-maximal free faces among the admissible ones are
+    branched on; this is sound because deleting a larger free face
+    preserves collapsibility whenever deleting a smaller one does.
+    """
+    if d < 1:
+        raise DimensionRangeError(f"collapsing parameter d must be >= 1, got {d}")
+    return _search(cx, KIND_COLLAPSE, d, budget)
+
+
+def _rule(kind: str, cx: SimplicialComplex, d: int) -> tuple[Callable, tuple[int, ...]]:
+    """The move and the goal of a free sequence of the given kind on cx.
+    A collapse deletes a face with everything above it and ends at the
+    void complex; a simplicial order keeps the face itself and ends at
+    the facets of the (d-1)-skeleton of the ambient simplex."""
+    if kind == KIND_COLLAPSE:
+        return SimplicialComplex.delete_all, ()
+    return SimplicialComplex.face_deletion, simplex_skeleton(cx.n, cx.ambient, d - 1).facets
+
+
+def _candidates(kind: str, cx: SimplicialComplex, d: int) -> Sequence[int]:
+    """The faces the search tries on cx, ascending: for a collapse the
+    inclusion-maximal free faces with at most d vertices, for a
+    simplicial order the free d-vertex faces that are not facets."""
+    if kind == KIND_COLLAPSE:
+        return maximal_elements(_free_faces(cx, range(d + 1)))
+    facets = set(cx.facets)
+    return [e for e in _free_faces(cx, (d,)) if e not in facets]
+
+
+def _search(cx: SimplicialComplex, kind: str, d: int, budget: int) -> FreeSequence | None:
+    """Depth-first search for a free sequence of the given kind, trying
+    candidates in ascending mask order and skipping states already known
+    to fail; None when none exists. The caller has checked cx: a
+    simplicial order needs a d-closure."""
+    move, goal = _rule(kind, cx, d)
+    if cx.facets == goal:
+        return FreeSequence(kind, d, ())
     nodes = 0
     dead: set[tuple[int, ...]] = set()
-    frames: list[tuple[SimplicialComplex, object, int]] = [
-        (cx, iter(_order_candidates(cx, d)), 0)
-    ]
+    frames = [(cx, iter(_candidates(kind, cx, d)), 0)]
     while frames:
         cur, it, _ = frames[-1]
         e = next(it, None)
@@ -226,65 +245,13 @@ def _search_simplicial_order(cx: SimplicialComplex, d: int, budget: int) -> Free
         nodes += 1
         if nodes > budget:
             raise SearchBudgetExceeded(
-                f"simplicial-order search exceeded the node budget ({budget})"
+                f"{_SEARCH_NAMES[kind]} search exceeded the node budget ({budget})"
             )
-        nxt = cur.face_deletion(e)
-        if nxt.facets == target:
-            return FreeSequence(
-                KIND_SIMPLICIAL_ORDER, d, tuple(fr[2] for fr in frames[1:]) + (e,)
-            )
-        if nxt.facets in dead:
-            continue
-        frames.append((nxt, iter(_order_candidates(nxt, d)), e))
-    return None
-
-
-def is_d_collapsible(
-    cx: SimplicialComplex,
-    d: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    prune_to_maximal: bool = True,
-) -> FreeSequence | None:
-    """Search for a free sequence of faces of dimension < d reducing the
-    complex to void; None when the complex is not d-collapsible.
-
-    With `prune_to_maximal` (default) only inclusion-maximal free faces
-    among the admissible ones are branched on; this is sound because
-    deleting a larger free face preserves collapsibility whenever
-    deleting a smaller one does. The flag exists for differential
-    testing.
-    """
-    if d < 1:
-        raise DimensionRangeError(f"collapsing parameter d must be >= 1, got {d}")
-
-    def candidates(c: SimplicialComplex) -> list[int]:
-        free = _free_faces_up_to_size(c, d)
-        if prune_to_maximal:
-            free = list(maximal_elements(free))
-        return sorted(free)
-
-    if cx.is_void:
-        return FreeSequence(KIND_COLLAPSE, d, ())
-    nodes = 0
-    dead: set[tuple[int, ...]] = set()
-    frames: list[tuple[SimplicialComplex, object, int]] = [(cx, iter(candidates(cx)), 0)]
-    while frames:
-        cur, it, _ = frames[-1]
-        e = next(it, None)
-        if e is None:
-            dead.add(cur.facets)
-            frames.pop()
-            continue
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(f"collapsing search exceeded the node budget ({budget})")
-        nxt = cur.delete_all(e)
-        if nxt.is_void:
-            return FreeSequence(KIND_COLLAPSE, d, tuple(fr[2] for fr in frames[1:]) + (e,))
-        if nxt.facets in dead:
-            continue
-        frames.append((nxt, iter(candidates(nxt)), e))
+        nxt = move(cur, e)
+        if nxt.facets == goal:
+            return FreeSequence(kind, d, tuple(fr[2] for fr in frames[1:]) + (e,))
+        if nxt.facets not in dead:
+            frames.append((nxt, iter(_candidates(kind, nxt, d)), e))
     return None
 
 
@@ -301,7 +268,7 @@ def d_chordal_order(
     `find_simplicial_order` returns it, or None when there is none.
 
     The closure is built here, so it is not checked again."""
-    return _search_simplicial_order(d_closure(cx, d), d, budget)
+    return _search(d_closure(cx, d), KIND_SIMPLICIAL_ORDER, d, budget)
 
 
 def chordality_check_range(cx: SimplicialComplex) -> tuple[int, int]:
@@ -345,26 +312,17 @@ def verify_sequence(cx: SimplicialComplex, seq: FreeSequence, d: int) -> bool:
     order: the start must be a d-closure, each face a non-facet free
     (d-1)-face, and the replay must end at the full (d-1)-skeleton.
     """
-    if d < 1:
+    if d < 1 or seq.kind not in _SEARCH_NAMES:
         return False
+    order = seq.kind == KIND_SIMPLICIAL_ORDER
+    if order and not is_d_closure(cx, d):
+        return False
+    move, goal = _rule(seq.kind, cx, d)
     cur = cx
-    if seq.kind == KIND_COLLAPSE:
-        for e in seq.faces:
-            if e.bit_count() > d:
-                return False
-            if sum(1 for f in cur.facets if e & ~f == 0) != 1:
-                return False
-            cur = cur.delete_all(e)
-        return cur.is_void
-    if seq.kind == KIND_SIMPLICIAL_ORDER:
-        if not is_d_closure(cx, d):
+    for e in seq.faces:
+        if (e.bit_count() != d or e in cur.facets) if order else e.bit_count() > d:
             return False
-        target = simplex_skeleton(cx.n, cx.ambient, d - 1).facets
-        for e in seq.faces:
-            if e.bit_count() != d or e in cur.facets:
-                return False
-            if sum(1 for f in cur.facets if e & ~f == 0) != 1:
-                return False
-            cur = cur.face_deletion(e)
-        return cur.facets == target
-    return False
+        if sum(1 for f in cur.facets if e & ~f == 0) != 1:
+            return False
+        cur = move(cur, e)
+    return cur.facets == goal

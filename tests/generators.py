@@ -13,7 +13,7 @@ from srchordal import (
     SquarefreeIdeal,
     d_closure,
 )
-from srchordal.bitsets import iter_vertices, vertices_from_mask
+from srchordal.bitsets import iter_vertices, mask_from_vertices, vertices_from_mask
 
 
 def random_complex(
@@ -44,6 +44,31 @@ def random_proper_complex(rng: random.Random, max_n: int, *, min_n: int = 2) -> 
         cx = random_complex(rng, max_n, min_n=min_n)
         if cx.facets != (cx.ambient,):
             return cx
+
+
+def random_small_facet_complex(
+    rng: random.Random, min_n: int, max_n: int
+) -> SimplicialComplex:
+    """Complex on min_n..max_n vertices generated by 1..2n random edges
+    and triangles. Unlike `random_complex`, it never draws the full
+    simplex when min_n >= 4, so searches on it meet both verdicts."""
+    n = rng.randint(min_n, max_n)
+    num = rng.randint(1, 2 * n)
+    facets = [rng.sample(range(1, n + 1), rng.randint(2, 3)) for _ in range(num)]
+    return SimplicialComplex.from_facets(n, facets)
+
+
+def plant_hole(rng: random.Random, cx: SimplicialComplex, d: int) -> SimplicialComplex:
+    """Add the facets of a 4-cycle (d = 1) or of an octahedron boundary
+    (d = 2) on random vertices. Alone, the d-closure of either has no
+    simplicial order; the other faces of cx may fill it in."""
+    if d == 1:
+        a, b, c, e = rng.sample(range(1, cx.n + 1), 4)
+        hole = [(a, b), (b, c), (c, e), (e, a)]
+    else:
+        vs = rng.sample(range(1, cx.n + 1), 6)
+        hole = [(x, y, z) for x in vs[0:2] for y in vs[2:4] for z in vs[4:6]]
+    return SimplicialComplex.from_facets(cx.n, cx.facets + tuple(map(mask_from_vertices, hole)))
 
 
 def random_ideal(rng: random.Random, max_n: int, *, min_n: int = 2) -> SquarefreeIdeal:

@@ -246,3 +246,36 @@ def brute_d_closure(cx: SimplicialComplex, d: int) -> SimplicialComplex:
             break
         sub = (sub - 1) & amb
     return SimplicialComplex(cx.n, closure_faces, ambient=amb)
+
+
+def brute_is_d_collapsible(cx: SimplicialComplex, d: int) -> bool:
+    """d-collapsibility by definition, without pruning: the void complex
+    is d-collapsible, and so is a complex in which deleting some free
+    face with at most d vertices, together with every face above it,
+    leaves a d-collapsible complex. Every such face is tried, not only
+    the inclusion-maximal ones; failed states are memoized by their
+    facets."""
+    dead: set[tuple[int, ...]] = set()
+
+    def facets_of(faces: frozenset[int]) -> tuple[int, ...]:
+        """The faces that no face with one more vertex contains."""
+        return tuple(sorted(
+            f for f in faces
+            if all(f | 1 << v not in faces for v in range(cx.n) if not f >> v & 1)
+        ))
+
+    def collapsible(faces: frozenset[int]) -> bool:
+        if not faces:
+            return True
+        facets = facets_of(faces)
+        if facets in dead:
+            return False
+        for e in sorted(faces):
+            if e.bit_count() > d or sum(1 for g in facets if e & ~g == 0) != 1:
+                continue
+            if collapsible(frozenset(f for f in faces if f & e != e)):
+                return True
+        dead.add(facets)
+        return False
+
+    return collapsible(frozenset(brute_face_set(cx)))

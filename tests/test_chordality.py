@@ -26,8 +26,8 @@ from srchordal import (
     verify_sequence,
 )
 from data import DUNCE_HAT_FACETS, EX0_FACETS, FIG4_FACETS, HOLLOW_TETRA_FACETS
-from generators import random_complex, random_d_closure
-from oracles import brute_d_closure
+from generators import plant_hole, random_complex, random_d_closure, random_small_facet_complex
+from oracles import brute_d_closure, brute_is_d_collapsible
 
 EX0 = SimplicialComplex.from_facets(5, EX0_FACETS)
 HOLLOW = SimplicialComplex.from_facets(4, HOLLOW_TETRA_FACETS)
@@ -174,10 +174,15 @@ class TestFindSimplicialOrder:
         assert find_simplicial_order(sk, 1) == FreeSequence("simplicial_order", 1, ())
 
     def test_budget_exhaustion_raises(self):
+        # the messages reach the CLI's stderr word for word
         closure = d_closure(EX0, 2)
-        with pytest.raises(SearchBudgetExceeded):
+        with pytest.raises(
+            SearchBudgetExceeded, match=r"^simplicial-order search exceeded the node budget \(2\)$"
+        ):
             find_simplicial_order(closure, 2, budget=2)
-        with pytest.raises(SearchBudgetExceeded):
+        with pytest.raises(
+            SearchBudgetExceeded, match=r"^collapsing search exceeded the node budget \(1\)$"
+        ):
             is_d_collapsible(SimplicialComplex.simplex(5), 2, budget=1)
 
 
@@ -241,19 +246,85 @@ class TestIsDCollapsible:
         assert is_d_collapsible(SimplicialComplex.void(3), 1) == FreeSequence("collapse", 1, ())
 
     def test_pruning_is_differentially_safe(self):
+        # the search branches only on the maximal free faces; the oracle
+        # tries every free face with at most d vertices
         rng = random.Random(305)
         for _ in range(60):
             cx = random_complex(rng, 5)
             d = rng.randint(1, 3)
-            with_pruning = is_d_collapsible(cx, d, prune_to_maximal=True)
-            without = is_d_collapsible(cx, d, prune_to_maximal=False)
-            assert (with_pruning is None) == (without is None)
+            assert (is_d_collapsible(cx, d) is not None) == brute_is_d_collapsible(cx, d)
+        # random_complex draws the full simplex 40 times in 60 here, so draw
+        # complexes of edges and triangles too, which are often not collapsible
+        verdicts = set()
+        for _ in range(200):
+            cx = random_small_facet_complex(rng, 4, 7)
+            d = rng.choice((1, 2))
+            collapsible = is_d_collapsible(cx, d) is not None
+            assert collapsible == brute_is_d_collapsible(cx, d)
+            verdicts.add(collapsible)
+        assert verdicts == {False, True}
 
     def test_fig4_is_2_collapsible_with_unique_free_edge(self):
         frees = [e for e in free_faces(FIG4, 1)]
         assert frees == [fmask([1, 2])]
         seq = is_d_collapsible(FIG4, 2)
         assert seq is not None and verify_sequence(FIG4, seq, 2)
+
+
+def faces(*vertex_lists):
+    return tuple(fmask(vs) for vs in vertex_lists)
+
+
+# the octahedron boundary with antipodal pairs 16, 25 and 34, and four more
+# triangles: its 2-closure has no simplicial order and is not 2-collapsible
+OCTAHEDRON_AND_MORE = SimplicialComplex.from_facets(7, [
+    [1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 5], [1, 3, 6], [2, 3, 6],
+    [2, 4, 6], [3, 5, 6], [4, 5, 6], [2, 3, 7], [2, 4, 7], [1, 5, 7],
+])
+
+
+class TestSearchPins:
+    """Exact certificates and search-tree sizes of both kinds of search:
+    a change to the engine that moves either, even to another valid
+    certificate, fails here."""
+
+    def test_certificates(self):
+        assert find_simplicial_order(d_closure(EX0, 2), 2) == FreeSequence(
+            "simplicial_order", 2, faces([1, 2], [1, 3], [2, 3], [1, 4])
+        )
+        assert is_d_collapsible(FIG4, 2) == FreeSequence("collapse", 2, faces(
+            [1, 2], [1, 5], [1, 4], [3, 4], [2, 4], [2, 5], [4, 5], [2, 6], [2, 3],
+            [3, 6], [1, 3], [1, 6], [4, 6], [5, 6], [5], [1, 7], [1], [2, 7], [2],
+            [3, 7], [3], [4, 7], [4], [6, 7], [6], [7], [],
+        ))
+        assert is_d_collapsible(SimplicialComplex.simplex(4), 2) == FreeSequence(
+            "collapse", 2,
+            faces([1, 2], [1, 3], [2, 3], [1, 4], [1], [2, 4], [2], [3, 4], [3], [4], []),
+        )
+
+    @pytest.mark.parametrize(
+        "cx, order_moves, collapse_moves",
+        [(DUNCE, 0, 32), (OCTAHEDRON_AND_MORE, 48, 1940)],
+        ids=["dunce_hat", "octahedron_and_more"],
+    )
+    def test_exhaustive_search_tree_size(self, monkeypatch, cx, order_moves, collapse_moves):
+        # both searches fail, so the moves counted cover the whole tree
+        closure = d_closure(cx, 2)
+        for method, search, expected in [
+            ("face_deletion", find_simplicial_order, order_moves),
+            ("delete_all", is_d_collapsible, collapse_moves),
+        ]:
+            real = getattr(SimplicialComplex, method)
+            calls = []
+
+            def counting(self, face, real=real, calls=calls):
+                calls.append(face)
+                return real(self, face)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(SimplicialComplex, method, counting)
+                assert search(closure, 2) is None
+            assert len(calls) == expected
 
 
 class TestVerifySequence:
@@ -267,6 +338,48 @@ class TestVerifySequence:
         assert verify_sequence(SimplicialComplex.void(3), empty, 2)
         assert not verify_sequence(SimplicialComplex.empty(3), empty, 2)
         assert not verify_sequence(EX0, empty, 2)
+
+    def test_collapse_face_above_d_vertices_rejected(self):
+        # a valid 2-collapse of an edge deletes the edge itself first
+        edge = SimplicialComplex.simplex(2)
+        steps = faces([1, 2], [1], [2], [])
+        assert verify_sequence(edge, FreeSequence("collapse", 2, steps), 2)
+        assert not verify_sequence(edge, FreeSequence("collapse", 1, steps), 1)
+
+    def test_collapse_face_not_free_rejected(self):
+        # {1,3} lies in the facets 134, 136 and 137 of FIG4
+        seq = is_d_collapsible(FIG4, 2)
+        bad = FreeSequence("collapse", 2, faces([1, 3]) + seq.faces)
+        assert not verify_sequence(FIG4, bad, 2)
+
+    def test_order_face_not_free_rejected(self):
+        # {1,4} lies in the facets 145 and 1234 of the closure
+        closure = d_closure(EX0, 2)
+        seq = find_simplicial_order(closure, 2)
+        bad = FreeSequence("simplicial_order", 2, faces([1, 4]) + seq.faces)
+        assert not verify_sequence(closure, bad, 2)
+
+    def test_order_face_of_wrong_size_rejected(self):
+        # {1,2,3} is free and not a facet, but has three vertices, not d = 2
+        closure = d_closure(EX0, 2)
+        seq = find_simplicial_order(closure, 2)
+        assert fmask([1, 2, 3]) in free_faces(closure, 2)
+        bad = FreeSequence("simplicial_order", 2, faces([1, 2, 3]) + seq.faces)
+        assert not verify_sequence(closure, bad, 2)
+
+    def test_order_face_that_is_a_facet_rejected(self):
+        # {2,5} is a free facet; deleting its proper superfaces changes
+        # nothing, so only the facet check rejects it
+        closure = d_closure(EX0, 2)
+        seq = find_simplicial_order(closure, 2)
+        bad = FreeSequence("simplicial_order", 2, faces([2, 5]) + seq.faces)
+        assert fmask([2, 5]) in closure.facets
+        assert not verify_sequence(closure, bad, 2)
+
+    def test_unknown_kind_rejected(self):
+        void = SimplicialComplex.void(3)
+        assert verify_sequence(void, FreeSequence("collapse", 1, ()), 1)
+        assert not verify_sequence(void, FreeSequence("bogus", 1, ()), 1)
 
     def test_order_requires_closure_start(self):
         seq = FreeSequence("simplicial_order", 1, (fmask([1]),))
@@ -317,6 +430,21 @@ class TestPaperProperties:
             has_order = find_simplicial_order(closure, d) is not None
             collapsible = is_d_collapsible(closure, d) is not None
             assert has_order == collapsible
+        # 94 of the 150 closures above are the full simplex, all with an
+        # order; closures of edges and triangles, half of them around a
+        # planted 4-cycle (d = 1) or octahedron boundary (d = 2), meet both
+        # verdicts for each d
+        verdicts: dict[int, set[bool]] = {1: set(), 2: set()}
+        for _ in range(150):
+            cx = random_small_facet_complex(rng, 6, 7)
+            d = rng.choice((1, 2))
+            if rng.random() < 0.5:
+                cx = plant_hole(rng, cx, d)
+            closure = d_closure(cx, d)
+            has_order = find_simplicial_order(closure, d) is not None
+            assert has_order == (is_d_collapsible(closure, d) is not None)
+            verdicts[d].add(has_order)
+        assert verdicts == {1: {False, True}, 2: {False, True}}
 
     def test_collapsible_implies_t_chordal_upward(self):
         rng = random.Random(310)

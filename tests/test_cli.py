@@ -173,6 +173,20 @@ class TestSubcommands:
         assert code == EXIT_OK
         assert json.loads(out) == {"minimal_nonfaces": [[1, 2, 5], [3, 5], [2, 4, 5]]}
 
+    def test_dual(self, files, capsys):
+        # the complements in [5] of the minimal nonfaces 125, 35 and 245
+        code, out = run(["dual", files["ex0"]], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out) == {"n": 5, "facets": [[1, 3], [1, 2, 4], [3, 4]]}
+
+    def test_experiment_q2(self, capsys):
+        code, out = run(["experiment", "q2", "--seed", "1", "--trials", "20"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out) == {
+            "experiment": "q2", "d": 2, "seed": 1, "trials": 20,
+            "chordal_closures": 20, "checked_pairs": 122, "counterexamples": [],
+        }
+
     def test_sigma(self, files, capsys):
         # sigma(x1^2) = x1x2, sigma(x1x2) = x1x3, sigma(x2^2) = x2x3
         code, out = run(["sigma", files["stable_squares"]], capsys)
