@@ -271,6 +271,33 @@ def d_chordal_order(
     return _search(d_closure(cx, d), KIND_SIMPLICIAL_ORDER, d, budget)
 
 
+def simplicial_deletions(
+    cx: SimplicialComplex, d: int, *, budget: int = DEFAULT_BUDGET
+) -> tuple[SimplicialComplex, list[tuple[int, bool]]] | None:
+    """Test, on the d-closure of the complex, whether deleting a
+    simplicial face keeps a d-chordal d-closure d-chordal.
+
+    Returns None when the closure has no simplicial order. Otherwise
+    returns the closure and, for each of its non-facet simplicial faces
+    E in ascending order, E and whether the face deletion at E still has
+    a simplicial order.
+
+    The closure is built once, and no complex is checked again. A face
+    deletion of a d-closure C at a d-vertex face E is a d-closure: it
+    keeps every set of at most d vertices, and a larger set G not
+    containing E is a face of it iff G is a face of C, iff every
+    (d+1)-subset of G is, none of which contains E; a larger G
+    containing E has a (d+1)-subset containing E, which is deleted.
+    """
+    closure = d_closure(cx, d)
+    if _search(closure, KIND_SIMPLICIAL_ORDER, d, budget) is None:
+        return None
+    return closure, [
+        (e, _search(closure.face_deletion(e), KIND_SIMPLICIAL_ORDER, d, budget) is not None)
+        for e in _candidates(KIND_SIMPLICIAL_ORDER, closure, d)
+    ]
+
+
 def chordality_check_range(cx: SimplicialComplex) -> tuple[int, int]:
     """The finite interval of d values that decides chordality.
 

@@ -35,10 +35,8 @@ from .chordality import (
     chordality_check_range,
     d_chordal_order,
     d_closure,
-    find_simplicial_order,
-    is_d_chordal,
     is_d_collapsible,
-    simplicial_faces,
+    simplicial_deletions,
     verify_sequence,
 )
 from .complexes import SimplicialComplex
@@ -94,11 +92,20 @@ def _cert_json(seq: FreeSequence | None):
     return None if seq is None else seq.to_json_dict()
 
 
-def _budget(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"budget must be >= 0, got {value}")
-    return value
+def _nonnegative(what: str):
+    """An argparse type for an integer >= 0, named `what` in its errors."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{what} must be >= 0, got {value}")
+        return value
+
+    parse.__name__ = what  # argparse reports "invalid <what> value" for non-integers
+    return parse
+
+
+_budget = _nonnegative("budget")
 
 
 def _add_common(parser: argparse.ArgumentParser, *, with_field: bool = False) -> None:
@@ -181,8 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("name", choices=("q2",))
     p.add_argument("--seed", type=int, required=True, help="RNG seed (required, no wall clock)")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--max-n", type=int, default=6)
+    p.add_argument("--trials", type=_nonnegative("trials"), default=100)
+    p.add_argument(
+        "--max-n", type=int, default=6, help="largest vertex count drawn; at least max(d+1, 3)"
+    )
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--format", choices=("json", "pretty"), default="json")
     p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
@@ -336,23 +345,17 @@ def _run_experiment(args) -> int:
             size = rng.randint(1, n)
             facets.append(rng.sample(range(1, n + 1), size))
         cx = SimplicialComplex.from_facets(n, facets)
-        closure = d_closure(cx, d)
-        if find_simplicial_order(closure, d, budget=args.budget) is None:
+        probe = simplicial_deletions(cx, d, budget=args.budget)
+        if probe is None:
             continue
+        closure, pairs = probe
         chordal_closures += 1
-        facet_set = set(closure.facets)
-        for e in simplicial_faces(closure, d):
-            if e in facet_set:
-                continue
-            checked_pairs += 1
-            deleted = closure.face_deletion(e)
-            if find_simplicial_order(deleted, d, budget=args.budget) is None:
-                counterexamples.append(
-                    {
-                        "complex": closure.to_json_dict(),
-                        "face": list(vertices_from_mask(e)),
-                    }
-                )
+        checked_pairs += len(pairs)
+        counterexamples += [
+            {"complex": closure.to_json_dict(), "face": list(vertices_from_mask(e))}
+            for e, has_order in pairs
+            if not has_order
+        ]
     payload = {
         "experiment": "q2",
         "d": d,
@@ -383,7 +386,11 @@ _RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "experiment" and args.max_n < max(args.d + 1, 3):
+        # trials draw n from max(d+1, 3)..max_n
+        parser.error(f"experiment q2 needs --max-n >= {max(args.d + 1, 3)} for --d {args.d}")
     try:
         return _RUNNERS[args.command](args)
     except SearchBudgetExceeded as exc:

@@ -168,28 +168,34 @@ class SimplicialComplex:
         return SimplicialComplex._raw(self.n, amb, maximal_elements(cands))
 
     def delete_all(self, face) -> "SimplicialComplex":
-        """Remove every face containing the given set (including itself)."""
+        """Remove every face containing the given set (including itself).
+
+        The facets left are read straight off the facet antichain (see
+        `_without_superfaces`), so no antichain reduction runs. The
+        empty face lies in every face and leaves the void complex; a set
+        that is not a face changes nothing.
+        """
         m = self._coerce_face(face)
-        cands: list[int] = []
-        for f in self.facets:
-            if f & m != m:
-                cands.append(f)
-            else:
-                for v in iter_vertices(m):
-                    cands.append(f & ~(1 << (v - 1)))
-        return SimplicialComplex._raw(self.n, self.ambient, maximal_elements(cands))
+        return SimplicialComplex._raw(
+            self.n, self.ambient, tuple(sorted(_without_superfaces(self.facets, m)))
+        )
 
     def face_deletion(self, face) -> "SimplicialComplex":
-        """Remove the faces strictly containing E but keep E itself."""
+        """Remove the faces strictly containing E but keep E itself.
+
+        A set that is not a face, or is a facet, changes nothing.
+        Otherwise the facets are those `_without_superfaces` leaves,
+        plus E, and no antichain reduction is needed: a piece F-{v}
+        inside E would give F <= E, so F = E would be a facet; a kept
+        facet K inside E would lie inside a facet containing E, which
+        an antichain forbids; and no remaining facet contains E.
+        """
         m = self._coerce_face(face)
-        if not self.is_face(m):
+        if m in self.facets or not self.is_face(m):
             return self
-        if m in self.facets:
-            return self
-        reduced = self.delete_all(m)
-        return SimplicialComplex._raw(
-            self.n, self.ambient, maximal_elements(reduced.facets + (m,))
-        )
+        facets = _without_superfaces(self.facets, m)
+        facets.append(m)
+        return SimplicialComplex._raw(self.n, self.ambient, tuple(sorted(facets)))
 
     def alexander_dual(self) -> "SimplicialComplex":
         """Faces are the complements (in the ambient set) of nonfaces."""
@@ -253,6 +259,29 @@ class SimplicialComplex:
             return cls(n, masks, ambient=ambient)
         except VertexRangeError as exc:
             raise FormatError(str(exc)) from exc
+
+
+def _without_superfaces(facets: tuple[int, ...], m: int) -> list[int]:
+    """The facets left after removing every face containing m, unsorted.
+
+    The facets not containing m are kept. Each facet F containing m
+    leaves the pieces F-{v}, v in m, that lie in no kept facet. Nothing
+    else needs checking, because the facets form an antichain:
+    * the pieces are distinct and pairwise incomparable: F-{v} keeps
+      every other vertex of m, so F-{v} <= F'-{v'} forces v = v' and
+      then F <= F', i.e. F = F';
+    * no kept facet K lies inside a piece F-{v}, since then K < F.
+    """
+    kept = [f for f in facets if f & m != m]
+    bits = [1 << (v - 1) for v in iter_vertices(m)]
+    out = kept[:]
+    for f in facets:
+        if f & m == m:
+            for b in bits:
+                piece = f ^ b
+                if not any(piece & ~k == 0 for k in kept):
+                    out.append(piece)
+    return out
 
 
 def mask_from_json_labels(labels, what: str) -> int:

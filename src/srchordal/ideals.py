@@ -288,6 +288,26 @@ _TOKEN_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 _HEADER_RE = re.compile(r"^n\s*=\s*(\d+)$")
 
 
+def _bounded(digits: str, lineno: int, what: str) -> int:
+    """A variable index or n= value, which must lie in 1..MAX_VERTICES.
+    The digits are measured before they are converted, so a huge value
+    is rejected without building a mask or list of its size."""
+    stripped = digits.lstrip("0")
+    if not stripped or len(stripped) > len(str(MAX_VERTICES)) or int(stripped) > MAX_VERTICES:
+        raise FormatError(f"line {lineno}: {what} must be in 1..{MAX_VERTICES}")
+    return int(stripped)
+
+
+def _exponent(digits: str, lineno: int) -> int:
+    try:
+        exp = int(digits)
+    except ValueError as exc:  # more digits than int() converts
+        raise FormatError(f"line {lineno}: exponent {digits[:20]}... is too long") from exc
+    if exp < 1:
+        raise FormatError(f"line {lineno}: exponent must be >= 1")
+    return exp
+
+
 def _parse_lines(text: str):
     n_header = None
     rows: list[list[tuple[int, int]]] = []
@@ -299,7 +319,7 @@ def _parse_lines(text: str):
         if header:
             if n_header is not None:
                 raise FormatError(f"line {lineno}: duplicate n= header")
-            n_header = int(header.group(1))
+            n_header = _bounded(header.group(1), lineno, "n=")
             continue
         factors = []
         for token in re.split(r"[\s*]+", line):
@@ -308,12 +328,8 @@ def _parse_lines(text: str):
             m = _TOKEN_RE.match(token)
             if not m:
                 raise FormatError(f"line {lineno}: bad monomial token {token!r}")
-            var = int(m.group(1))
-            exp = int(m.group(2)) if m.group(2) else 1
-            if var < 1:
-                raise FormatError(f"line {lineno}: variable index must be >= 1")
-            if exp < 1:
-                raise FormatError(f"line {lineno}: exponent must be >= 1")
+            var = _bounded(m.group(1), lineno, "variable index")
+            exp = _exponent(m.group(2), lineno) if m.group(2) else 1
             factors.append((var, exp))
         if not factors:
             raise FormatError(f"line {lineno}: empty monomial")

@@ -204,6 +204,18 @@ def brute_face_set(cx: SimplicialComplex) -> set[int]:
     return faces
 
 
+def brute_deletion(cx: SimplicialComplex, e: int, *, keep_e: bool) -> tuple[int, ...]:
+    """The facets left after removing every face that contains e (with
+    keep_e, every face that properly contains e), by definition: list
+    all faces, drop those supersets, and keep the faces that no face
+    with one more vertex extends. What is left is still closed under
+    subsets, so that is the same as keeping the maximal sets."""
+    faces = {f for f in brute_face_set(cx) if f & e != e or (keep_e and f == e)}
+    return tuple(sorted(
+        f for f in faces if all(f | 1 << v not in faces for v in range(cx.n) if not f >> v & 1)
+    ))
+
+
 def brute_minimal_nonfaces(cx: SimplicialComplex) -> set[int]:
     faces = brute_face_set(cx)
     out = set()

@@ -22,6 +22,7 @@ from srchordal import (
     is_d_collapsible,
     mask_from_vertices,
     simplex_skeleton,
+    simplicial_deletions,
     simplicial_faces,
     verify_sequence,
 )
@@ -207,6 +208,28 @@ class TestIsDChordal:
                 assert (order is not None) == is_d_chordal(cx, d)
                 if order is not None:
                     assert verify_sequence(d_closure(cx, d), order, d)
+
+    def test_simplicial_deletions_match_the_checked_searches(self):
+        # the checked public searches reject a complex that is not a
+        # d-closure, so this also checks that every deletion is one
+        rng = random.Random(708)
+        seen = {None: 0, True: 0, False: 0}
+        for i in range(60):
+            cx = random_complex(rng, 6) if i % 2 else random_small_facet_complex(rng, 4, 6)
+            for d in (1, 2):
+                closure = d_closure(cx, d)
+                probe = simplicial_deletions(cx, d)
+                if find_simplicial_order(closure, d) is None:
+                    assert probe is None
+                    seen[None] += 1
+                    continue
+                assert probe[0] == closure
+                faces = [e for e in simplicial_faces(closure, d) if e not in closure.facets]
+                assert [e for e, _ in probe[1]] == faces
+                for e, has_order in probe[1]:
+                    assert has_order == (find_simplicial_order(closure.face_deletion(e), d) is not None)
+                    seen[has_order] += 1
+        assert seen[None] and seen[True], seen
 
 
 class TestIsChordal:

@@ -1,6 +1,7 @@
 """Exit statuses and output of the command line, driven through main(argv)."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -110,6 +111,66 @@ class TestExitStatus:
             main(["chordal", "--budget", "-5", files["ex0"]])
         assert exc.value.code == 2
         assert "budget must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["betti", "sigma"])
+    def test_huge_variable_index_is_an_input_error(self, tmp_path, capsys, command):
+        path = tmp_path / "huge.txt"
+        path.write_text("x99999999999999999999\n")
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == "error: line 1: variable index must be in 1..64\n"
+
+    def test_large_variable_index_is_rejected_before_any_mask(self, tmp_path, capsys):
+        # x1000000000 alone would need a mask of 10^9 bits
+        path = tmp_path / "large.txt"
+        path.write_text("x1000000000\n")
+        tracemalloc.start()
+        try:
+            code = main(["betti", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_INPUT
+        assert "variable index must be in 1..64" in capsys.readouterr().err
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("header", ["n=0", "n=65", "n=100000000000000000000"])
+    def test_header_outside_the_range_is_an_input_error(self, tmp_path, capsys, header):
+        # sigma builds an exponent list of length n from the header
+        path = tmp_path / "header.txt"
+        path.write_text(f"{header}\nx1^2\n")
+        code = main(["sigma", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == "error: line 1: n= must be in 1..64\n"
+
+    def test_overlong_exponent_is_an_input_error(self, tmp_path, capsys):
+        # more digits than int() converts
+        path = tmp_path / "exponent.txt"
+        path.write_text("x1^" + "9" * 5000 + "\n")
+        code = main(["sigma", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert "exponent 99999999999999999999... is too long" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--max-n", "2"], "needs --max-n >= 3 for --d 2"),
+            (["--max-n", "3", "--d", "3"], "needs --max-n >= 4 for --d 3"),
+            (["--trials", "-1"], "trials must be >= 0, got -1"),
+        ],
+        ids=["max_n_below_three", "max_n_below_d_plus_one", "negative_trials"],
+    )
+    def test_bad_experiment_arguments_are_rejected(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "q2", "--seed", "1", *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_workers_is_rejected(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -291,6 +352,27 @@ class TestClosureCount:
             srchordal.cli.SimplicialComplex.from_facets(5, EX0_FACETS), 2
         )
         assert calls == [2]
+
+
+    def test_one_closure_per_experiment_trial(self, monkeypatch, capsys):
+        # a face deletion of a d-closure is a d-closure, so neither the
+        # closure nor its deletions are checked again
+        import srchordal.chordality
+        import srchordal.cli
+
+        real = srchordal.chordality.d_closure
+        calls = []
+
+        def counting(cx, d):
+            calls.append(d)
+            return real(cx, d)
+
+        monkeypatch.setattr(srchordal.chordality, "d_closure", counting)
+        monkeypatch.setattr(srchordal.cli, "d_closure", counting)
+        code, out = run(["experiment", "q2", "--seed", "1", "--trials", "20"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["checked_pairs"] == 122
+        assert calls == [2] * 20
 
 
 class TestParserReuse:

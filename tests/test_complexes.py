@@ -16,8 +16,9 @@ from srchordal import (
     mask_from_vertices,
     vertices_from_mask,
 )
-from generators import random_complex
-from oracles import brute_face_set, brute_minimal_nonfaces
+import srchordal.complexes
+from generators import random_complex, random_small_facet_complex
+from oracles import brute_deletion, brute_face_set, brute_minimal_nonfaces
 
 EX0 = SimplicialComplex.from_facets(5, [[2, 5], [1, 4, 5], [1, 2, 3, 4]])
 HOLLOW_TETRA = SimplicialComplex.from_facets(4, [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])
@@ -190,6 +191,55 @@ class TestFaceDeletion:
             assert out.is_face(e)
             # identity exactly when E is a facet (or for the complex {∅})
             assert (out == cx) == (e in cx.facets)
+
+
+class TestMovesAgainstOracle:
+    def test_every_set_on_random_complexes(self):
+        # every subset E of the ambient set: the empty face, facets, free
+        # and non-free faces that are not facets, and nonfaces
+        rng = random.Random(104)
+        seen = dict.fromkeys(("empty", "facet", "free", "not_free", "nonface"), 0)
+        for i in range(500):
+            if i % 2:
+                cx = random_complex(rng, 6, allow_void=True)
+            else:
+                cx = random_small_facet_complex(rng, 4, 6)
+            faces = brute_face_set(cx)
+            for e in range(cx.ambient + 1):
+                if e & ~cx.ambient:
+                    continue
+                deleted = cx.delete_all(e)
+                assert deleted.facets == brute_deletion(cx, e, keep_e=False), (cx, e)
+                assert deleted.ambient == cx.ambient
+                kept = cx.face_deletion(e)
+                assert kept.facets == brute_deletion(cx, e, keep_e=True), (cx, e)
+                assert kept.ambient == cx.ambient
+                containing = sum(1 for f in cx.facets if e & ~f == 0)
+                if e not in faces:
+                    seen["nonface"] += 1
+                elif e == 0:
+                    seen["empty"] += 1
+                elif e in cx.facets:
+                    seen["facet"] += 1
+                else:
+                    seen["free" if containing == 1 else "not_free"] += 1
+        assert all(seen.values()), seen
+
+    def test_moves_need_no_antichain_reduction(self, monkeypatch):
+        # both moves read the facets left straight off the facet antichain
+        rng = random.Random(105)
+        cxs = [random_small_facet_complex(rng, 4, 6) for _ in range(40)]
+        cxs += [random_complex(rng, 6) for _ in range(40)]
+
+        def forbidden(masks):
+            raise AssertionError("maximal_elements called by a move")
+
+        monkeypatch.setattr(srchordal.complexes, "maximal_elements", forbidden)
+        for cx in cxs:
+            for e in range(cx.ambient + 1):
+                if e & ~cx.ambient == 0:
+                    cx.delete_all(e)
+                    cx.face_deletion(e)
 
 
 class TestAlexanderDual:
