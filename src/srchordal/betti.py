@@ -235,9 +235,6 @@ class BettiTable:
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.entries)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.as_dict().get((i, j), 0)
-
     @property
     def is_empty(self) -> bool:
         return not self.entries

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .bitsets import maximal_elements, subsets_of_size, vertices_from_mask
+from .bitsets import iter_vertices, maximal_elements, subsets_of_size, vertices_from_mask
 from .complexes import SimplicialComplex, mask_from_json_labels, simplex_skeleton
 from .errors import (
     DEFAULT_BUDGET,
@@ -79,71 +79,53 @@ class FreeSequence:
         return cls(kind, d, tuple(mask_from_json_labels(f, "each face") for f in faces))
 
 
-def d_closure(cx: SimplicialComplex, d: int) -> SimplicialComplex:
-    """The complex with the same d-faces, everything of dimension < d,
-    and a larger face exactly when all its (d+1)-subsets are faces."""
+def d_closure(cx: SimplicialComplex, d: int, *, budget: int = DEFAULT_BUDGET) -> SimplicialComplex:
+    """Cl_d(cx): every set of at most d vertices of the ambient set, the
+    faces of cx with d+1 vertices, and a larger set exactly when all its
+    (d+1)-subsets are faces. It is grown level by level from the d-sets:
+    * all sets of at most d vertices are faces, so none below d vertices
+      is a facet (an ambient set of fewer than d gives the full simplex);
+    * a set G of more than d+1 vertices is a face iff its one-smaller
+      subsets are, by induction, as each (d+1)-subset lies in one of
+      them; G is generated once, from G minus its top vertex;
+    * faces are closed downwards, so the facets are the faces none of
+      whose one-vertex extensions is a face.
+    More than `budget` faces grown raise SearchBudgetExceeded.
+    """
     if d < 1:
         raise DimensionRangeError(f"closure parameter d must be >= 1, got {d}")
     if cx.is_void:
         raise VoidComplexError("the void complex has no d-closure")
     amb = cx.ambient
-    amb_size = amb.bit_count()
-    if amb_size <= d:
-        return simplex_skeleton(cx.n, amb, amb_size - 1)
-    seed = set(cx.faces_of_dim(d))
-    if not seed:
-        return simplex_skeleton(cx.n, amb, d - 1)
-    # A set of size > d+1 qualifies iff all its one-smaller subsets do, so
-    # grow level by level from the d-faces, keeping the maximal ones.
+    if amb.bit_count() < d:
+        return SimplicialComplex._raw(cx.n, amb, (amb,))
+    bits = [1 << (v - 1) for v in iter_vertices(amb)]
+    low, level = set(subsets_of_size(amb, d)), set(cx.faces_of_dim(d))
+    grown = len(low)
     facets: list[int] = []
-    level = seed
-    while level:
+    while low:
+        grown += len(level)
+        if grown > budget:
+            raise SearchBudgetExceeded(f"the {d}-closure exceeded the face budget ({budget})")
+        facets += [f for f in low if level.isdisjoint(map(f.__or__, bits))]
         nxt: set[int] = set()
         for f in level:
-            top = 1 << (f.bit_length() - 1)
-            rest = amb & ~f
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if low < top:
-                    continue  # each candidate is generated from its top-removed subset
-                cand = f | low
-                ok = True
-                w = f
-                while w:
-                    wl = w & -w
-                    w ^= wl
-                    if (cand ^ wl) not in level:
-                        ok = False
-                        break
-                if ok:
-                    nxt.add(cand)
-        for f in level:
-            extended = False
-            rest = amb & ~f
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if (f | low) in nxt:
-                    extended = True
-                    break
-            if not extended:
-                facets.append(f)
-        level = nxt
-    # size-d subsets not inside any d-face of the original complex stay
-    # facets of the closure
-    for small in subsets_of_size(amb, d):
-        if not any(small & ~f == 0 for f in seed):
-            facets.append(small)
+            below = [f ^ w for w in bits if w & f]  # the one-smaller subsets of f
+            for b in bits:
+                if b > f:  # b lies above the top vertex of f
+                    for c in below:
+                        if c | b not in level:
+                            break
+                    else:
+                        nxt.add(f | b)
+        low, level = level, nxt
     return SimplicialComplex._raw(cx.n, amb, tuple(sorted(facets)))
 
 
 def is_d_closure(cx: SimplicialComplex, d: int) -> bool:
     if d < 1:
         raise DimensionRangeError(f"closure parameter d must be >= 1, got {d}")
-    if cx.is_void:
-        return False
-    return d_closure(cx, d) == cx
+    return not cx.is_void and d_closure(cx, d) == cx
 
 
 def free_faces(cx: SimplicialComplex, max_dim: int) -> list[int]:
@@ -267,8 +249,8 @@ def d_chordal_order(
     """A simplicial order of the d-closure of the complex, as
     `find_simplicial_order` returns it, or None when there is none.
 
-    The closure is built here, so it is not checked again."""
-    return _search(d_closure(cx, d), KIND_SIMPLICIAL_ORDER, d, budget)
+    The closure is built here under its own budget and not checked again."""
+    return _search(d_closure(cx, d, budget=budget), KIND_SIMPLICIAL_ORDER, d, budget)
 
 
 def simplicial_deletions(
@@ -289,7 +271,7 @@ def simplicial_deletions(
     (d+1)-subset of G is, none of which contains E; a larger G
     containing E has a (d+1)-subset containing E, which is deleted.
     """
-    closure = d_closure(cx, d)
+    closure = d_closure(cx, d, budget=budget)
     if _search(closure, KIND_SIMPLICIAL_ORDER, d, budget) is None:
         return None
     return closure, [
@@ -314,10 +296,8 @@ def chordality_check_range(cx: SimplicialComplex) -> tuple[int, int]:
     nonfaces = cx.minimal_nonfaces()
     if not nonfaces:
         return (1, 0)
-    t = min(f.bit_count() for f in nonfaces) - 1
-    s = max(f.bit_count() for f in nonfaces) - 1
-    r = cx.dim
-    return (max(1, t), min(r, s))
+    sizes = [f.bit_count() for f in nonfaces]
+    return (max(1, min(sizes) - 1), min(cx.dim, max(sizes) - 1))
 
 
 def is_chordal(cx: SimplicialComplex, *, budget: int = DEFAULT_BUDGET) -> bool:

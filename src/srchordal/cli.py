@@ -13,8 +13,9 @@ Input formats (also shown by --help of each subcommand):
   "faces": [[1,5],[1,2],[1,3],[2,3]]}.
 
 Exit status: 0 = computed (or verdict true), 1 = negative verdict,
-2 = input error, 3 = budget exhausted (search nodes, or LCM lattice
-members for betti, linres, cwl and classify). Verdict-valued
+2 = input error, 3 = budget exhausted (search nodes, d-closure faces
+for closure, chordal, classify and experiment, or LCM lattice members
+for betti, linres, cwl and classify). Verdict-valued
 subcommands use status 1 for "false" so shell pipelines can branch on
 them; this deliberately diverges from errors-only conventions.
 """
@@ -117,8 +118,9 @@ def _add_common(parser: argparse.ArgumentParser, *, with_field: bool = False) ->
         "--budget",
         type=_budget,
         default=DEFAULT_BUDGET,
-        help="node budget for backtracking searches, and member budget for each "
-        "LCM lattice of a Betti or linearity computation (default 10^7)",
+        help="node budget for backtracking searches, face budget for each d-closure, "
+        "and member budget for each LCM lattice of a Betti or linearity computation "
+        "(default 10^7)",
     )
     if with_field:
         parser.add_argument(
@@ -193,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-n", type=int, default=6, help="largest vertex count drawn; at least max(d+1, 3)"
     )
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--format", choices=("json", "pretty"), default="json")
     p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
 
     return parser
@@ -201,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_closure(args) -> int:
     cx = _load_complex(args.input)
-    out = d_closure(cx, args.d)
+    out = d_closure(cx, args.d, budget=args.budget)
     _emit(out.to_json_dict(), args.format, pretty_text=repr(out))
     return EXIT_OK
 
@@ -365,7 +366,7 @@ def _run_experiment(args) -> int:
         "checked_pairs": checked_pairs,
         "counterexamples": counterexamples,
     }
-    _emit(payload, args.format)
+    _emit(payload, "json")
     return EXIT_OK
 
 

@@ -45,5 +45,6 @@ class FormatError(SRChordalError, ValueError):
 
 
 class SearchBudgetExceeded(SRChordalError, RuntimeError):
-    """A backtracking search ran out of its node budget, or an LCM
-    lattice outgrew its member budget (inconclusive)."""
+    """A backtracking search ran out of its node budget, a d-closure
+    outgrew its face budget, or an LCM lattice outgrew its member budget
+    (inconclusive)."""

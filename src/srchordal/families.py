@@ -230,6 +230,14 @@ def sigma_pipeline(ideal: MonomialIdeal) -> tuple[SquarefreeIdeal, SimplicialCom
     return image, stanley_reisner_complex(image)
 
 
+def _alexander_dual_of(ideal: SquarefreeIdeal) -> SimplicialComplex:
+    """The Alexander dual of the Stanley-Reisner complex of a nonzero
+    ideal. The minimal nonfaces of that complex are the generators, so
+    the dual's facets are their complements; no transversal is computed."""
+    full = (1 << ideal.n) - 1
+    return SimplicialComplex._raw(ideal.n, full, tuple(sorted(full & ~g for g in ideal.gens)))
+
+
 def classify(
     ideal: SquarefreeIdeal,
     fields: tuple[FieldSpec, ...] = (GF2, CHAR0),
@@ -242,13 +250,13 @@ def classify(
     dual of the ideal's complex, where they sit in the chain (dual
     shifted => strongly stable => stable => chordal complex, and dual
     vertex decomposable => chordal complex => componentwise linear).
-    `budget` bounds each chordality search and each LCM lattice of the
-    componentwise linearity check.
+    `budget` bounds each chordality search, each d-closure and each LCM
+    lattice of the componentwise linearity check.
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal is not classified")
     cx = stanley_reisner_complex(ideal)
-    dual = cx.alexander_dual()
+    dual = _alexander_dual_of(ideal)
     return {
         "stable": is_squarefree_stable(ideal),
         "strongly_stable": is_squarefree_strongly_stable(ideal),

@@ -61,10 +61,6 @@ class SquarefreeIdeal:
         raise AttributeError("SquarefreeIdeal is immutable")
 
     @classmethod
-    def from_generators(cls, n: int, gens: Iterable) -> "SquarefreeIdeal":
-        return cls(n, gens)
-
-    @classmethod
     def zero(cls, n: int) -> "SquarefreeIdeal":
         return cls(n, ())
 

@@ -1,7 +1,8 @@
 """Shared golden inputs: the worked 5-vertex complex, the 8-vertex
 dunce-hat triangulation (boundary identified 1-3-2-1 on all three
-sides), and the 7-vertex square-with-diamond complex whose 2-closure
-has a unique non-facet simplicial face {1,2}."""
+sides), the 7-vertex square-with-diamond complex whose 2-closure
+has a unique non-facet simplicial face {1,2}, and a 10-vertex complex
+whose 2-closure is small but whose simplicial-order search is wide."""
 
 EX0_FACETS = [[2, 5], [1, 4, 5], [1, 2, 3, 4]]
 
@@ -20,4 +21,11 @@ FIG4_FACETS = [
     [1, 6, 7], [1, 3, 6], [2, 3, 6], [2, 5, 6],
     [1, 2, 5], [1, 4, 5], [1, 3, 4],
     [4, 6, 7], [4, 5, 6],
+]
+
+# an octahedron boundary (antipodal pairs 12, 34, 56) and twelve triangles
+# joining it to 7..10: the 2-closure grows only the 45 edges and these 20
+# triangles, and its exhaustive search needs more than 2000 nodes
+BUDGET_GADGET_FACETS = [[x, y, z] for x in (1, 2) for y in (3, 4) for z in (5, 6)] + [
+    [k % 6 + 1, 7 + k // 6, 9 + k % 2] for k in range(12)
 ]

@@ -26,7 +26,14 @@ from srchordal import (
     simplicial_faces,
     verify_sequence,
 )
-from data import DUNCE_HAT_FACETS, EX0_FACETS, FIG4_FACETS, HOLLOW_TETRA_FACETS
+from srchordal.chordality import KIND_COLLAPSE, _candidates, _free_faces
+from data import (
+    BUDGET_GADGET_FACETS,
+    DUNCE_HAT_FACETS,
+    EX0_FACETS,
+    FIG4_FACETS,
+    HOLLOW_TETRA_FACETS,
+)
 from generators import plant_hole, random_complex, random_d_closure, random_small_facet_complex
 from oracles import brute_d_closure, brute_is_d_collapsible
 
@@ -34,6 +41,7 @@ EX0 = SimplicialComplex.from_facets(5, EX0_FACETS)
 HOLLOW = SimplicialComplex.from_facets(4, HOLLOW_TETRA_FACETS)
 DUNCE = SimplicialComplex.from_facets(8, DUNCE_HAT_FACETS)
 FIG4 = SimplicialComplex.from_facets(7, FIG4_FACETS)
+GADGET = SimplicialComplex.from_facets(10, BUDGET_GADGET_FACETS)
 
 
 def fmask(vs):
@@ -63,6 +71,60 @@ class TestDClosure:
             cx = random_complex(rng, 6)
             d = rng.randint(1, 4)
             assert d_closure(cx, d) == brute_d_closure(cx, d)
+        # random_complex mostly draws the full simplex, whose closure adds
+        # nothing; closures of edges and triangles, half of them around a
+        # planted 4-cycle or octahedron boundary, add faces or do not
+        grew = []
+        for _ in range(300):
+            cx = random_small_facet_complex(rng, 4, 7)
+            if rng.random() < 0.5:
+                cx = plant_hole(rng, cx, 2 if cx.n >= 6 else 1)
+            d = rng.randint(1, 4)
+            closed = d_closure(cx, d)
+            assert closed == brute_d_closure(cx, d)
+            grew.append(closed != cx)
+        assert 0 < sum(grew) < len(grew)  # 280 of 300 at this seed
+
+    @pytest.mark.parametrize(
+        "cx, d",
+        [
+            (SimplicialComplex.from_facets(6, [[1, 2], [3, 4], [5]]), 2),
+            (SimplicialComplex(6, [[1, 2], [2, 3]], ambient=fmask([1, 2, 3])), 3),
+            (SimplicialComplex(6, [[1], [2]], ambient=fmask([1, 2])), 3),
+            (SimplicialComplex(6, [[]], ambient=0), 1),
+            (SimplicialComplex.empty(4), 1),
+            (SimplicialComplex.empty(4), 3),
+            (SimplicialComplex.empty(4), 5),
+        ],
+        ids=[
+            "no_faces_of_d_plus_one_vertices", "ambient_of_d_vertices",
+            "ambient_below_d_vertices", "empty_complex_on_no_vertices",
+            "empty_complex_d1", "empty_complex_d3", "empty_complex_above_ambient",
+        ],
+    )
+    def test_edge_cases_match_definition(self, cx, d):
+        closed = d_closure(cx, d)
+        assert closed == brute_d_closure(cx, d)
+        size = cx.ambient.bit_count()
+        assert closed == simplex_skeleton(cx.n, cx.ambient, min(d, size) - 1)
+
+    def test_budget_counts_the_faces_grown(self):
+        # the faces grown are every d-set and every larger face: 45 edges
+        # and 20 triangles here
+        assert d_closure(GADGET, 2, budget=65) == d_closure(GADGET, 2)
+        with pytest.raises(
+            SearchBudgetExceeded, match=r"^the 2-closure exceeded the face budget \(64\)$"
+        ):
+            d_closure(GADGET, 2, budget=64)
+
+    def test_budget_stops_a_large_closure(self):
+        # the 2-closure of the 30-vertex simplex has 2^30 faces
+        big = SimplicialComplex.simplex(30)
+        for build in (d_closure, d_chordal_order, simplicial_deletions):
+            with pytest.raises(
+                SearchBudgetExceeded, match=r"^the 2-closure exceeded the face budget \(1000\)$"
+            ):
+                build(big, 2, budget=1000)
 
     def test_idempotent_and_same_d_faces(self):
         rng = random.Random(302)
@@ -286,6 +348,21 @@ class TestIsDCollapsible:
             assert collapsible == brute_is_d_collapsible(cx, d)
             verdicts.add(collapsible)
         assert verdicts == {False, True}
+
+    def test_candidates_are_small_facets_and_free_d_sets(self):
+        # the inclusion-maximal free faces with at most d vertices: a free
+        # face with fewer than d vertices that is not its facet F extends
+        # by any vertex of F outside it to a larger free face
+        rng = random.Random(312)
+        for i in range(3000):
+            if i % 2:
+                cx = random_complex(rng, 6, allow_void=True)
+            else:
+                cx = random_small_facet_complex(rng, 4, 7)
+            for d in range(1, 5):
+                small = [f for f in cx.facets if f.bit_count() < d]
+                expected = sorted(small + _free_faces(cx, (d,)))
+                assert list(_candidates(KIND_COLLAPSE, cx, d)) == expected
 
     def test_fig4_is_2_collapsible_with_unique_free_edge(self):
         frees = [e for e in free_faces(FIG4, 1)]

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from srchordal.cli import EXIT_BUDGET, EXIT_FALSE, EXIT_INPUT, EXIT_OK, build_parser, main
-from data import EX0_FACETS
+from data import BUDGET_GADGET_FACETS, EX0_FACETS
 
 
 @pytest.fixture
@@ -21,6 +21,9 @@ def files(tmp_path):
         "rp2_ideal": tmp_path / "rp2_ideal.txt",
         "stable_squares": tmp_path / "stable_squares.txt",
         "not_stable": tmp_path / "not_stable.txt",
+        "simplex30": tmp_path / "simplex30.json",
+        "principal30": tmp_path / "principal30.txt",
+        "gadget": tmp_path / "gadget.json",
     }
     paths["triangle"].write_text("x1 x2\nx1 x3\nx2 x3\n")
     paths["two_edges"].write_text("n=4\nx1 x2\nx3 x4\n")
@@ -37,6 +40,11 @@ def files(tmp_path):
     )
     paths["stable_squares"].write_text("x1^2\nx1*x2\nx2^2\n")
     paths["not_stable"].write_text("x1*x2\nx2^2\n")
+    # closures of these two have about 2^30 faces; never run them without
+    # a small budget
+    paths["simplex30"].write_text(json.dumps({"n": 30, "facets": [list(range(1, 31))]}))
+    paths["principal30"].write_text("n=30\nx1*x2\n")
+    paths["gadget"].write_text(json.dumps({"n": 10, "facets": BUDGET_GADGET_FACETS}))
     return {name: str(p) for name, p in paths.items()}
 
 
@@ -70,6 +78,25 @@ class TestExitStatus:
         code = main(["chordal", "--d", "2", "--budget", "1", files["ex0"]])
         assert code == EXIT_BUDGET
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["closure", "--d", "2", "--budget", "1000", "simplex30"],
+             "the 2-closure exceeded the face budget (1000)"),
+            (["classify", "--budget", "10000", "principal30"],
+             "the 1-closure exceeded the face budget (10000)"),
+            (["chordal", "--d", "2", "--budget", "2000", "gadget"],
+             "simplicial-order search exceeded the node budget (2000)"),
+        ],
+        ids=["closure", "classify", "search_after_a_small_closure"],
+    )
+    def test_closure_budget(self, files, capsys, argv, message):
+        code = main(argv[:-1] + [files[argv[-1]]])
+        captured = capsys.readouterr()
+        assert code == EXIT_BUDGET
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_lattice_budget_counts_for_cwl(self, files, capsys):
         code = main(["cwl", "--budget", "10000", files["wide_lattice"]])
@@ -171,6 +198,13 @@ class TestExitStatus:
             main(["experiment", "q2", "--seed", "1", *argv])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_experiment_format_is_rejected(self, capsys):
+        # experiment prints JSON only
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "q2", "--seed", "1", "--format", "pretty"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
     def test_workers_is_rejected(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -334,9 +368,9 @@ class TestClosureCount:
         real = srchordal.chordality.d_closure
         calls = []
 
-        def counting(cx, d):
+        def counting(cx, d, **budget):
             calls.append(d)
-            return real(cx, d)
+            return real(cx, d, **budget)
 
         monkeypatch.setattr(srchordal.chordality, "d_closure", counting)
         monkeypatch.setattr(srchordal.cli, "d_closure", counting)
@@ -363,9 +397,9 @@ class TestClosureCount:
         real = srchordal.chordality.d_closure
         calls = []
 
-        def counting(cx, d):
+        def counting(cx, d, **budget):
             calls.append(d)
-            return real(cx, d)
+            return real(cx, d, **budget)
 
         monkeypatch.setattr(srchordal.chordality, "d_closure", counting)
         monkeypatch.setattr(srchordal.cli, "d_closure", counting)

@@ -30,6 +30,7 @@ from srchordal import (
     stanley_reisner_complex,
     stanley_reisner_ideal,
 )
+from srchordal.families import _alexander_dual_of
 from data import DUNCE_HAT_FACETS
 from generators import (
     random_complex,
@@ -264,6 +265,14 @@ class TestClassify:
             "stable", "strongly_stable", "shifted", "vertex_decomposable",
             "gotzmann", "chordal", "componentwise_linear",
         }
+
+    def test_dual_read_off_the_generators(self):
+        # classify's dual skips the transversals that alexander_dual runs
+        rng = random.Random(512)
+        for _ in range(300):
+            ideal = random_ideal(rng, 8, min_n=1)
+            assert _alexander_dual_of(ideal) == stanley_reisner_complex(ideal).alexander_dual()
+        assert _alexander_dual_of(SquarefreeIdeal(3, [[1, 2, 3]])).is_empty_complex
 
     def test_strongly_stable_ideal_has_shifted_dual(self):
         # the dual-side predicates line up with the ideal-side exchange
