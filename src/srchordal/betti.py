@@ -235,19 +235,10 @@ class BettiTable:
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.entries)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
-
     def regularity(self) -> int:
         if not self.entries:
             raise ZeroIdealError("regularity of an empty Betti table")
         return max(j - i for (i, j), _ in self.entries)
-
-    def projective_dimension(self) -> int:
-        if not self.entries:
-            raise ZeroIdealError("projective dimension of an empty Betti table")
-        return max(i for (i, _), _ in self.entries)
 
     def to_json_dict(self) -> dict:
         return {

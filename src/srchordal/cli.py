@@ -13,9 +13,12 @@ Input formats (also shown by --help of each subcommand):
   "faces": [[1,5],[1,2],[1,3],[2,3]]}.
 
 Exit status: 0 = computed (or verdict true), 1 = negative verdict,
-2 = input error, 3 = budget exhausted (search nodes, d-closure faces
-for closure, chordal, classify and experiment, or LCM lattice members
-for betti, linres, cwl and classify). Verdict-valued
+2 = input error (including an option the subcommand does not take),
+3 = budget exhausted (search nodes, d-closure faces for closure,
+chordal, classify and experiment, or LCM lattice members for betti,
+linres, cwl and classify). verify takes no --budget, but replaying a
+simplicial order rebuilds the d-closure under the default budget, so
+it can still exit 3. Verdict-valued
 subcommands use status 1 for "false" so shell pipelines can branch on
 them; this deliberately diverges from errors-only conventions.
 """
@@ -43,12 +46,7 @@ from .chordality import (
 from .complexes import SimplicialComplex
 from .errors import SearchBudgetExceeded, SRChordalError
 from .families import classify, sigma_pipeline
-from .ideals import (
-    format_squarefree_ideal,
-    parse_monomial_ideal,
-    parse_squarefree_ideal,
-    stanley_reisner_ideal,
-)
+from .ideals import format_squarefree_ideal, parse_monomial_ideal, parse_squarefree_ideal
 from .bitsets import vertices_from_mask
 
 EXIT_OK = 0
@@ -76,13 +74,6 @@ def _load_ideal(path: str):
     return parse_squarefree_ideal(_read_input(path))
 
 
-def _emit(payload: dict, fmt: str, pretty_text: str | None = None) -> None:
-    if fmt == "pretty" and pretty_text is not None:
-        print(pretty_text)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-
-
 def _fields_for(choice: str) -> list[FieldSpec]:
     if choice == "both":
         return [GF2, CHAR0]
@@ -106,30 +97,6 @@ def _nonnegative(what: str):
     return parse
 
 
-_budget = _nonnegative("budget")
-
-
-def _add_common(parser: argparse.ArgumentParser, *, with_field: bool = False) -> None:
-    parser.add_argument("input", help="input file path, or - for stdin")
-    parser.add_argument(
-        "--format", choices=("json", "pretty"), default="json", help="output format"
-    )
-    parser.add_argument(
-        "--budget",
-        type=_budget,
-        default=DEFAULT_BUDGET,
-        help="node budget for backtracking searches, face budget for each d-closure, "
-        "and member budget for each LCM lattice of a Betti or linearity computation "
-        "(default 10^7)",
-    )
-    if with_field:
-        parser.add_argument(
-            "--field",
-            default="gf2",
-            help="coefficient field: gf2 (default), gfp:P, char0, or both",
-        )
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once; parsing leaves it unchanged."""
@@ -143,46 +110,55 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("closure", help="emit the d-closure of a complex")
-    p.add_argument("--d", type=int, required=True)
-    _add_common(p)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("input", help="input file path, or - for stdin")
+    common.add_argument(
+        "--format", choices=("json", "pretty"), default="json", help="output format"
+    )
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
+        "--budget",
+        type=_nonnegative("budget"),
+        default=DEFAULT_BUDGET,
+        help="node budget for backtracking searches, face budget for each d-closure, "
+        "and member budget for each LCM lattice of a Betti or linearity computation "
+        "(default 10^7)",
+    )
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument(
+        "--field", default="gf2", help="coefficient field: gf2 (default), gfp:P, char0, or both"
+    )
 
-    p = sub.add_parser("chordal", help="decide (d-)chordality of a complex")
-    p.add_argument("--d", type=int, default=None, help="check d-chordality for this d only")
-    _add_common(p)
-
-    p = sub.add_parser("collapsible", help="decide d-collapsibility of a complex")
-    p.add_argument("--d", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="replay a certificate against a complex")
-    p.add_argument("--certificate", required=True, help="certificate JSON file, or - for stdin")
-    _add_common(p)
-
-    p = sub.add_parser("betti", help="graded Betti table of an ideal")
-    _add_common(p, with_field=True)
-
-    p = sub.add_parser("linres", help="decide d-linear resolution of an equigenerated ideal")
-    p.add_argument("--d", type=int, required=True)
-    _add_common(p, with_field=True)
-
-    p = sub.add_parser("cwl", help="decide componentwise linearity of an ideal")
-    _add_common(p, with_field=True)
-
-    p = sub.add_parser("classify", help="run every family checker on an ideal")
-    _add_common(p)
-
-    p = sub.add_parser("dual", help="Alexander dual of a complex")
-    _add_common(p)
-
-    p = sub.add_parser("nonfaces", help="minimal nonfaces of a complex")
-    _add_common(p)
-
-    p = sub.add_parser("sigma", help="square-free operator pipeline on a strongly stable ideal")
-    _add_common(p)
+    # each subcommand declares only the options its runner reads
+    subs = {
+        name: sub.add_parser(name, parents=parents, help=text)
+        for name, parents, text in [
+            ("closure", [common, budget], "emit the d-closure of a complex"),
+            ("chordal", [common, budget], "decide (d-)chordality of a complex"),
+            ("collapsible", [common, budget], "decide d-collapsibility of a complex"),
+            ("verify", [common], "replay a certificate against a complex"),
+            ("betti", [common, budget, field], "graded Betti table of an ideal"),
+            ("linres", [common, budget, field],
+             "decide d-linear resolution of an equigenerated ideal"),
+            ("cwl", [common, budget, field], "decide componentwise linearity of an ideal"),
+            ("classify", [common, budget], "run every family checker on an ideal"),
+            ("dual", [common], "Alexander dual of a complex"),
+            ("nonfaces", [common], "minimal nonfaces of a complex"),
+            ("sigma", [common], "square-free operator pipeline on a strongly stable ideal"),
+        ]
+    }
+    for name in ("closure", "collapsible", "linres"):
+        subs[name].add_argument("--d", type=int, required=True)
+    subs["chordal"].add_argument(
+        "--d", type=int, default=None, help="check d-chordality for this d only"
+    )
+    subs["verify"].add_argument(
+        "--certificate", required=True, help="certificate JSON file, or - for stdin"
+    )
 
     p = sub.add_parser(
         "experiment",
+        parents=[budget],
         help="randomized probes (report-only)",
         description="experiment q2: sample d-chordal d-closures and test whether "
         "deleting a non-facet simplicial face preserves d-chordality. Reports "
@@ -195,19 +171,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-n", type=int, default=6, help="largest vertex count drawn; at least max(d+1, 3)"
     )
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
 
     return parser
 
 
-def _run_closure(args) -> int:
-    cx = _load_complex(args.input)
-    out = d_closure(cx, args.d, budget=args.budget)
-    _emit(out.to_json_dict(), args.format, pretty_text=repr(out))
-    return EXIT_OK
+# A runner returns its verdict (None if it gives none), its JSON payload
+# and its --format pretty text (None if it prints JSON only).
+_Result = tuple[bool | None, dict, str | None]
 
 
-def _run_chordal(args) -> int:
+def _run_closure(args) -> _Result:
+    out = d_closure(_load_complex(args.input), args.d, budget=args.budget)
+    return None, out.to_json_dict(), repr(out)
+
+
+def _run_chordal(args) -> _Result:
     cx = _load_complex(args.input)
     if args.d is not None:
         seq = d_chordal_order(cx, args.d, budget=args.budget)
@@ -216,8 +194,7 @@ def _run_chordal(args) -> int:
             "d_chordal": seq is not None,
             "certificate": _cert_json(seq),
         }
-        _emit(payload, args.format, pretty_text=f"{args.d}-chordal: {seq is not None}")
-        return EXIT_OK if seq is not None else EXIT_FALSE
+        return seq is not None, payload, f"{args.d}-chordal: {seq is not None}"
     lo, hi = chordality_check_range(cx)
     checked = list(range(lo, hi + 1))
     certificates = {}
@@ -230,19 +207,16 @@ def _run_chordal(args) -> int:
             break
         certificates[str(d)] = seq.to_json_dict()
     payload = {"chordal": verdict, "checked_d": checked, "certificates": certificates}
-    _emit(payload, args.format, pretty_text=f"chordal: {verdict} (checked d = {checked})")
-    return EXIT_OK if verdict else EXIT_FALSE
+    return verdict, payload, f"chordal: {verdict} (checked d = {checked})"
 
 
-def _run_collapsible(args) -> int:
-    cx = _load_complex(args.input)
-    seq = is_d_collapsible(cx, args.d, budget=args.budget)
+def _run_collapsible(args) -> _Result:
+    seq = is_d_collapsible(_load_complex(args.input), args.d, budget=args.budget)
     payload = {"d": args.d, "collapsible": seq is not None, "certificate": _cert_json(seq)}
-    _emit(payload, args.format, pretty_text=f"{args.d}-collapsible: {seq is not None}")
-    return EXIT_OK if seq is not None else EXIT_FALSE
+    return seq is not None, payload, f"{args.d}-collapsible: {seq is not None}"
 
 
-def _run_verify(args) -> int:
+def _run_verify(args) -> _Result:
     cx = _load_complex(args.input)
     try:
         cert_data = json.loads(_read_input(args.certificate))
@@ -250,11 +224,10 @@ def _run_verify(args) -> int:
         raise SRChordalError(f"certificate is not valid JSON: {exc}") from exc
     seq = FreeSequence.from_json_dict(cert_data)
     ok = verify_sequence(cx, seq, seq.d)
-    _emit({"valid": ok}, args.format, pretty_text=f"valid: {ok}")
-    return EXIT_OK if ok else EXIT_FALSE
+    return ok, {"valid": ok}, f"valid: {ok}"
 
 
-def _run_betti(args) -> int:
+def _run_betti(args) -> _Result:
     ideal = _load_ideal(args.input)
     fields = _fields_for(args.field)
     tables = {f.label: betti_table(ideal, f, budget=args.budget) for f in fields}
@@ -263,11 +236,10 @@ def _run_betti(args) -> int:
         entry_sets = [t.entries for t in tables.values()]
         payload["agree"] = all(e == entry_sets[0] for e in entry_sets)
     pretty = "\n\n".join(f"[{label}]\n{t.pretty()}" for label, t in tables.items())
-    _emit(payload, args.format, pretty_text=pretty)
-    return EXIT_OK
+    return None, payload, pretty
 
 
-def _run_linres(args) -> int:
+def _run_linres(args) -> _Result:
     ideal = _load_ideal(args.input)
     degs = set(ideal.degrees())
     if degs != {args.d}:
@@ -278,47 +250,36 @@ def _run_linres(args) -> int:
         f.label: has_linear_resolution(ideal, f, budget=args.budget)
         for f in _fields_for(args.field)
     }
-    verdict = all(results.values())
     payload = {"d": args.d, "linear_resolution": results}
-    _emit(payload, args.format, pretty_text=f"{args.d}-linear resolution: {results}")
-    return EXIT_OK if verdict else EXIT_FALSE
+    return all(results.values()), payload, f"{args.d}-linear resolution: {results}"
 
 
-def _run_cwl(args) -> int:
+def _run_cwl(args) -> _Result:
     ideal = _load_ideal(args.input)
     results = {
         f.label: is_componentwise_linear(ideal, f, budget=args.budget)
         for f in _fields_for(args.field)
     }
-    verdict = all(results.values())
     payload = {"componentwise_linear": results}
-    _emit(payload, args.format, pretty_text=f"componentwise linear: {results}")
-    return EXIT_OK if verdict else EXIT_FALSE
+    return all(results.values()), payload, f"componentwise linear: {results}"
 
 
-def _run_classify(args) -> int:
-    ideal = _load_ideal(args.input)
-    report = classify(ideal, budget=args.budget)
-    lines = [f"{k}: {v}" for k, v in report.items()]
-    _emit(report, args.format, pretty_text="\n".join(lines))
-    return EXIT_OK
+def _run_classify(args) -> _Result:
+    report = classify(_load_ideal(args.input), budget=args.budget)
+    return None, report, "\n".join(f"{k}: {v}" for k, v in report.items())
 
 
-def _run_dual(args) -> int:
-    cx = _load_complex(args.input)
-    out = cx.alexander_dual()
-    _emit(out.to_json_dict(), args.format, pretty_text=repr(out))
-    return EXIT_OK
+def _run_dual(args) -> _Result:
+    out = _load_complex(args.input).alexander_dual()
+    return None, out.to_json_dict(), repr(out)
 
 
-def _run_nonfaces(args) -> int:
-    cx = _load_complex(args.input)
-    nf = [list(vertices_from_mask(f)) for f in cx.minimal_nonfaces()]
-    _emit({"minimal_nonfaces": nf}, args.format, pretty_text="\n".join(map(str, nf)))
-    return EXIT_OK
+def _run_nonfaces(args) -> _Result:
+    nf = [list(vertices_from_mask(f)) for f in _load_complex(args.input).minimal_nonfaces()]
+    return None, {"minimal_nonfaces": nf}, "\n".join(map(str, nf))
 
 
-def _run_sigma(args) -> int:
+def _run_sigma(args) -> _Result:
     ideal = parse_monomial_ideal(_read_input(args.input))
     image, cx = sigma_pipeline(ideal)
     payload = {
@@ -328,11 +289,10 @@ def _run_sigma(args) -> int:
         },
         "complex": cx.to_json_dict(),
     }
-    _emit(payload, args.format, pretty_text=format_squarefree_ideal(image) + repr(cx))
-    return EXIT_OK
+    return None, payload, format_squarefree_ideal(image) + repr(cx)
 
 
-def _run_experiment(args) -> int:
+def _run_experiment(args) -> _Result:
     rng = random.Random(args.seed)
     d = args.d
     checked_pairs = 0
@@ -366,8 +326,7 @@ def _run_experiment(args) -> int:
         "checked_pairs": checked_pairs,
         "counterexamples": counterexamples,
     }
-    _emit(payload, "json")
-    return EXIT_OK
+    return None, payload, None
 
 
 _RUNNERS = {
@@ -393,7 +352,12 @@ def main(argv: list[str] | None = None) -> int:
         # trials draw n from max(d+1, 3)..max_n
         parser.error(f"experiment q2 needs --max-n >= {max(args.d + 1, 3)} for --d {args.d}")
     try:
-        return _RUNNERS[args.command](args)
+        verdict, payload, pretty = _RUNNERS[args.command](args)
+        if pretty is not None and args.format == "pretty":
+            print(pretty)
+        else:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        return EXIT_FALSE if verdict is False else EXIT_OK
     except SearchBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -158,14 +158,20 @@ class SimplicialComplex:
         return SimplicialComplex._raw(self.n, wm, maximal_elements(f & wm for f in self.facets))
 
     def link(self, face) -> "SimplicialComplex":
+        """The faces G with G disjoint from the face M and G + M a face.
+
+        Its facets are the pieces F - M of the facets F containing M, and
+        no antichain reduction is needed: if F - M lies in F' - M for
+        facets F and F' containing M, then F lies in F', so F = F'.
+        """
         m = self._coerce_face(face)
         if not self.is_face(m):
             raise NotAFaceError(f"{vertices_from_mask(m)} is not a face")
         if m == 0:
             return self
         amb = self.ambient & ~m
-        cands = [f & ~m for f in self.facets if f & m == m]
-        return SimplicialComplex._raw(self.n, amb, maximal_elements(cands))
+        pieces = sorted(f & ~m for f in self.facets if f & m == m)
+        return SimplicialComplex._raw(self.n, amb, tuple(pieces))
 
     def delete_all(self, face) -> "SimplicialComplex":
         """Remove every face containing the given set (including itself).

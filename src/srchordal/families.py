@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .betti import CHAR0, GF2, FieldSpec, is_componentwise_linear
-from .bitsets import iter_vertices, vertices_from_mask
+from .betti import CHAR0, GF2, is_componentwise_linear
+from .bitsets import iter_vertices
 from .chordality import DEFAULT_BUDGET, is_chordal
 from .complexes import SimplicialComplex
 from .errors import NotStronglyStableError, VertexRangeError, ZeroIdealError
@@ -93,10 +93,15 @@ def is_shifted(cx: SimplicialComplex) -> bool:
     return True
 
 
-def _is_shedding(cx: SimplicialComplex, v: int) -> bool:
+def _shedding_split(
+    cx: SimplicialComplex, v: int
+) -> tuple[SimplicialComplex, SimplicialComplex] | None:
+    """The deletion and the link of v when v is a shedding vertex, else None."""
     deletion = cx.delete_all((v,))
     link = cx.link((v,))
-    return not any(link.is_face(f) for f in deletion.facets)
+    if any(link.is_face(f) for f in deletion.facets):
+        return None
+    return deletion, link
 
 
 def shedding_vertices(cx: SimplicialComplex) -> list[int]:
@@ -104,7 +109,7 @@ def shedding_vertices(cx: SimplicialComplex) -> list[int]:
     verts = cx.vertices()
     if not verts:
         raise VertexRangeError("the complex has no vertices")
-    return [v for v in verts if _is_shedding(cx, v)]
+    return [v for v in verts if _shedding_split(cx, v) is not None]
 
 
 def is_vertex_decomposable(cx: SimplicialComplex) -> bool:
@@ -122,9 +127,8 @@ def is_vertex_decomposable(cx: SimplicialComplex) -> bool:
             return True
         result = False
         for v in c.vertices():
-            if not _is_shedding(c, v):
-                continue
-            if rec(c.delete_all((v,))) and rec(c.link((v,))):
+            split = _shedding_split(c, v)
+            if split is not None and rec(split[0]) and rec(split[1]):
                 result = True
                 break
         memo[key] = result
@@ -166,13 +170,6 @@ class GotzmannDecomposition:
             else:
                 gens.append(prefix)
         return tuple(sorted(gens))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "blocks": [
-                {"m": list(vertices_from_mask(m)), "z": list(zs)} for m, zs in self.blocks
-            ]
-        }
 
 
 def _factor_blocks(gens: list[int], first: bool) -> list[tuple[int, tuple[int, ...]]] | None:
@@ -238,33 +235,40 @@ def _alexander_dual_of(ideal: SquarefreeIdeal) -> SimplicialComplex:
     return SimplicialComplex._raw(ideal.n, full, tuple(sorted(full & ~g for g in ideal.gens)))
 
 
-def classify(
-    ideal: SquarefreeIdeal,
-    fields: tuple[FieldSpec, ...] = (GF2, CHAR0),
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> dict:
+_CLASSIFY_FIELDS = (GF2, CHAR0)
+
+
+def classify(ideal: SquarefreeIdeal, *, budget: int = DEFAULT_BUDGET) -> dict:
     """One-stop report over the implication chain of families.
 
     `shifted` and `vertex_decomposable` are reported for the Alexander
     dual of the ideal's complex, where they sit in the chain (dual
-    shifted => strongly stable => stable => chordal complex, and dual
+    shifted <=> strongly stable => stable => chordal complex, and dual
     vertex decomposable => chordal complex => componentwise linear).
+    Componentwise linearity is reported over GF(2) and char 0.
     `budget` bounds each chordality search, each d-closure and each LCM
     lattice of the componentwise linearity check.
+
+    The dual is shifted exactly when the ideal is square-free strongly
+    stable, so one check gives both entries. The dual's facets are the
+    complements in [n] of the generators, so G is a face of it iff
+    C = [n] - G lies in the ideal; and G - i + j, for i in G and j > i
+    outside G, is the complement of C - j + i, for j in C and i < j
+    outside C. So every exchange of the dual stays a face iff every
+    exchange of the ideal stays in it.
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal is not classified")
     cx = stanley_reisner_complex(ideal)
-    dual = _alexander_dual_of(ideal)
+    strongly_stable = is_squarefree_strongly_stable(ideal)
     return {
         "stable": is_squarefree_stable(ideal),
-        "strongly_stable": is_squarefree_strongly_stable(ideal),
-        "shifted": is_shifted(dual),
-        "vertex_decomposable": is_vertex_decomposable(dual),
+        "strongly_stable": strongly_stable,
+        "shifted": strongly_stable,
+        "vertex_decomposable": is_vertex_decomposable(_alexander_dual_of(ideal)),
         "gotzmann": gotzmann_decomposition(ideal) is not None,
         "chordal": is_chordal(cx, budget=budget),
         "componentwise_linear": {
-            f.label: is_componentwise_linear(ideal, f, budget=budget) for f in fields
+            f.label: is_componentwise_linear(ideal, f, budget=budget) for f in _CLASSIFY_FIELDS
         },
     }

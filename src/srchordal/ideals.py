@@ -304,7 +304,9 @@ def _exponent(digits: str, lineno: int) -> int:
     return exp
 
 
-def _parse_lines(text: str):
+def _parse_lines(text: str) -> tuple[int, list[list[tuple[int, int]]]]:
+    """The variable count and the (variable, exponent) factors of each
+    line. Without an n= header the count is the largest variable seen."""
     n_header = None
     rows: list[list[tuple[int, int]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -330,6 +332,13 @@ def _parse_lines(text: str):
         if not factors:
             raise FormatError(f"line {lineno}: empty monomial")
         rows.append(factors)
+    max_var = max((var for factors in rows for var, _ in factors), default=0)
+    if n_header is None:
+        if max_var == 0:
+            raise FormatError("cannot infer the variable count; add an n= header")
+        n_header = max_var
+    if max_var > n_header:
+        raise FormatError(f"variable x{max_var} exceeds the declared n={n_header}")
     return n_header, rows
 
 
@@ -337,9 +346,8 @@ def parse_squarefree_ideal(text: str) -> SquarefreeIdeal:
     """One square-free monomial per line ("x3 x5" or "x3*x5"); lines
     starting with '#' are comments; an optional "n=5" header fixes the
     ambient size (default: the largest variable index seen)."""
-    n_header, rows = _parse_lines(text)
+    n, rows = _parse_lines(text)
     masks = []
-    max_var = 0
     for factors in rows:
         mask = 0
         for var, exp in factors:
@@ -349,38 +357,24 @@ def parse_squarefree_ideal(text: str) -> SquarefreeIdeal:
             if mask & bit:
                 raise FormatError(f"repeated variable x{var}: input must be square-free")
             mask |= bit
-            max_var = max(max_var, var)
         masks.append(mask)
-    if n_header is None:
-        if max_var == 0:
-            raise FormatError("cannot infer the variable count; add an n= header")
-        n_header = max_var
-    if max_var > n_header:
-        raise FormatError(f"variable x{max_var} exceeds the declared n={n_header}")
     try:
-        return SquarefreeIdeal(n_header, masks)
+        return SquarefreeIdeal(n, masks)
     except (VertexRangeError, ZeroIdealError) as exc:
         raise FormatError(str(exc)) from exc
 
 
 def parse_monomial_ideal(text: str) -> MonomialIdeal:
     """Like `parse_squarefree_ideal` but accepting exponents ("x1^2*x3")."""
-    n_header, rows = _parse_lines(text)
-    max_var = max((var for factors in rows for var, _ in factors), default=0)
-    if n_header is None:
-        if max_var == 0:
-            raise FormatError("cannot infer the variable count; add an n= header")
-        n_header = max_var
-    if max_var > n_header:
-        raise FormatError(f"variable x{max_var} exceeds the declared n={n_header}")
+    n, rows = _parse_lines(text)
     gens = []
     for factors in rows:
-        exps = [0] * n_header
+        exps = [0] * n
         for var, exp in factors:
             exps[var - 1] += exp
         gens.append(Monomial(exps))
     try:
-        return MonomialIdeal(n_header, gens)
+        return MonomialIdeal(n, gens)
     except (VertexRangeError, ZeroIdealError) as exc:
         raise FormatError(str(exc)) from exc
 

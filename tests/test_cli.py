@@ -206,6 +206,47 @@ class TestExitStatus:
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--certificate", "{ex0}", "{ex0}"],
+            ["dual", "{ex0}"],
+            ["nonfaces", "{ex0}"],
+            ["sigma", "{stable_squares}"],
+        ],
+        ids=["verify", "dual", "nonfaces", "sigma"],
+    )
+    def test_budget_is_rejected_where_nothing_reads_it(self, files, capsys, argv):
+        argv = [a.format(**files) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + ["--budget", "5"] + argv[1:])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --budget" in captured.err
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("betti", "# no monomials\n", "cannot infer the variable count; add an n= header"),
+            ("sigma", "", "cannot infer the variable count; add an n= header"),
+            ("betti", "n=2\nx1\nx3\n", "variable x3 exceeds the declared n=2"),
+            ("sigma", "n=2\nx3^2\n", "variable x3 exceeds the declared n=2"),
+            ("betti", "x2\nx1^2*x3\n", "exponent on x1: input must be square-free"),
+            ("betti", "x2 x3 x2\n", "repeated variable x2: input must be square-free"),
+        ],
+        ids=["infer_squarefree", "infer_monomial", "exceeds_squarefree", "exceeds_monomial",
+             "exponent", "repeated"],
+    )
+    def test_whole_input_ideal_errors(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "ideal.txt"
+        path.write_text(text)
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_workers_is_rejected(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["betti", "--workers", "2", files["triangle"]])
@@ -324,28 +365,32 @@ class TestSubcommands:
 
 class TestPrettyFormat:
     @pytest.mark.parametrize(
-        "argv, expected",
+        "argv, expected_code, expected",
         [
-            (["betti", "{triangle}"], "[gf2]\n        0  1\n    2:  3  2\n"),
-            (["closure", "--d", "1", "{ex0}"], "SimplicialComplex(n=5, <{1,2,3,4},{1,2,4,5}>)\n"),
-            (["chordal", "{ex0}"], "chordal: True (checked d = [1, 2])\n"),
-            (["chordal", "--d", "2", "{ex0}"], "2-chordal: True\n"),
-            (["collapsible", "--d", "1", "{hollow_triangle}"], "1-collapsible: False\n"),
-            (["linres", "--d", "2", "{triangle}"], "2-linear resolution: {'gf2': True}\n"),
-            (["cwl", "{triangle}"], "componentwise linear: {'gf2': True}\n"),
-            (["nonfaces", "{ex0}"], "[1, 2, 5]\n[3, 5]\n[2, 4, 5]\n"),
+            (["betti", "{triangle}"], EXIT_OK, "[gf2]\n        0  1\n    2:  3  2\n"),
+            (["closure", "--d", "1", "{ex0}"], EXIT_OK,
+             "SimplicialComplex(n=5, <{1,2,3,4},{1,2,4,5}>)\n"),
+            (["chordal", "{ex0}"], EXIT_OK, "chordal: True (checked d = [1, 2])\n"),
+            (["chordal", "--d", "2", "{ex0}"], EXIT_OK, "2-chordal: True\n"),
+            (["collapsible", "--d", "1", "{hollow_triangle}"], EXIT_FALSE,
+             "1-collapsible: False\n"),
+            (["linres", "--d", "2", "{triangle}"], EXIT_OK,
+             "2-linear resolution: {'gf2': True}\n"),
+            (["cwl", "{triangle}"], EXIT_OK, "componentwise linear: {'gf2': True}\n"),
+            (["nonfaces", "{ex0}"], EXIT_OK, "[1, 2, 5]\n[3, 5]\n[2, 4, 5]\n"),
             (
                 ["sigma", "{stable_squares}"],
+                EXIT_OK,
                 "n=3\nx1*x2\nx1*x3\nx2*x3\nSimplicialComplex(n=3, <{1},{2},{3}>)\n",
             ),
         ],
         ids=["betti", "closure", "chordal", "chordal_d", "collapsible", "linres", "cwl",
              "nonfaces", "sigma"],
     )
-    def test_pretty_output(self, files, capsys, argv, expected):
+    def test_pretty_output(self, files, capsys, argv, expected_code, expected):
         argv = [a.format(**files) for a in argv]
         code, out = run(argv[:1] + ["--format", "pretty"] + argv[1:], capsys)
-        assert code in (EXIT_OK, EXIT_FALSE)
+        assert code == expected_code
         assert out == expected
 
     def test_classify_pretty_lists_every_family(self, files, capsys):

@@ -226,7 +226,8 @@ class TestMovesAgainstOracle:
         assert all(seen.values()), seen
 
     def test_moves_need_no_antichain_reduction(self, monkeypatch):
-        # both moves read the facets left straight off the facet antichain
+        # both moves, and the link, read their facets straight off the
+        # facet antichain
         rng = random.Random(105)
         cxs = [random_small_facet_complex(rng, 4, 6) for _ in range(40)]
         cxs += [random_complex(rng, 6) for _ in range(40)]
@@ -240,6 +241,8 @@ class TestMovesAgainstOracle:
                 if e & ~cx.ambient == 0:
                     cx.delete_all(e)
                     cx.face_deletion(e)
+                    if cx.is_face(e):
+                        cx.link(e)
 
 
 class TestAlexanderDual:

@@ -112,6 +112,18 @@ class TestShifted:
             assert verdicts[-1] == brute_is_shifted(cx), cx
         assert 0 < sum(verdicts) < len(verdicts)
 
+    def test_dual_shifted_iff_strongly_stable(self):
+        # classify reads both entries off one check: G is a face of the
+        # dual iff its complement lies in the ideal, and G - i + j is the
+        # complement of C - j + i
+        rng = random.Random(511)
+        verdicts = []
+        for k in range(2000):
+            ideal = random_stable_ideal(rng, 7) if k % 2 else random_ideal(rng, 7, min_n=1)
+            verdicts.append(is_squarefree_strongly_stable(ideal))
+            assert is_shifted(_alexander_dual_of(ideal)) == verdicts[-1], ideal
+        assert 0 < sum(verdicts) < len(verdicts)
+
 
 class TestVertexDecomposable:
     def test_simplex(self):

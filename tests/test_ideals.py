@@ -193,6 +193,26 @@ class TestTextFormat:
             ideal = random_ideal(rng, 7)
             assert parse_squarefree_ideal(format_squarefree_ideal(ideal)) == ideal
 
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_squarefree_ideal, "# no monomials\n",
+             "cannot infer the variable count; add an n= header"),
+            (parse_monomial_ideal, "", "cannot infer the variable count; add an n= header"),
+            (parse_squarefree_ideal, "n=2\nx1\nx3\n", "variable x3 exceeds the declared n=2"),
+            (parse_monomial_ideal, "n=2\nx3^2\n", "variable x3 exceeds the declared n=2"),
+            (parse_squarefree_ideal, "x2\nx1^2*x3\n", "exponent on x1: input must be square-free"),
+            (parse_squarefree_ideal, "x2 x3 x2\n",
+             "repeated variable x2: input must be square-free"),
+        ],
+        ids=["infer_squarefree", "infer_monomial", "exceeds_squarefree", "exceeds_monomial",
+             "exponent", "repeated"],
+    )
+    def test_whole_input_messages(self, parse, text, message):
+        with pytest.raises(FormatError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
     def test_bad_tokens(self):
         with pytest.raises(FormatError):
             parse_squarefree_ideal("y3\n")
