@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Sequence
 
 from .bitsets import iter_vertices, maximal_elements, subsets_of_size, vertices_from_mask
-from .complexes import SimplicialComplex, mask_from_json_labels, simplex_skeleton
+from .complexes import SimplicialComplex, mask_from_json_labels
 from .errors import (
     DEFAULT_BUDGET,
     DimensionRangeError,
@@ -90,7 +91,10 @@ def d_closure(cx: SimplicialComplex, d: int, *, budget: int = DEFAULT_BUDGET) ->
       them; G is generated once, from G minus its top vertex;
     * faces are closed downwards, so the facets are the faces none of
       whose one-vertex extensions is a face.
-    More than `budget` faces grown raise SearchBudgetExceeded.
+    More than `budget` faces grown raise SearchBudgetExceeded. The first
+    level is bounded before it is listed: it holds comb(|A|, d) d-sets
+    and at least the (d+1)-subsets of the largest facet, so a bound over
+    the budget means the level's own count is over it too.
     """
     if d < 1:
         raise DimensionRangeError(f"closure parameter d must be >= 1, got {d}")
@@ -99,6 +103,9 @@ def d_closure(cx: SimplicialComplex, d: int, *, budget: int = DEFAULT_BUDGET) ->
     amb = cx.ambient
     if amb.bit_count() < d:
         return SimplicialComplex._raw(cx.n, amb, (amb,))
+    over = f"the {d}-closure exceeded the face budget ({budget})"
+    if comb(amb.bit_count(), d) + max(comb(f.bit_count(), d + 1) for f in cx.facets) > budget:
+        raise SearchBudgetExceeded(over)
     bits = [1 << (v - 1) for v in iter_vertices(amb)]
     low, level = set(subsets_of_size(amb, d)), set(cx.faces_of_dim(d))
     grown = len(low)
@@ -106,7 +113,7 @@ def d_closure(cx: SimplicialComplex, d: int, *, budget: int = DEFAULT_BUDGET) ->
     while low:
         grown += len(level)
         if grown > budget:
-            raise SearchBudgetExceeded(f"the {d}-closure exceeded the face budget ({budget})")
+            raise SearchBudgetExceeded(over)
         facets += [f for f in low if level.isdisjoint(map(f.__or__, bits))]
         nxt: set[int] = set()
         for f in level:
@@ -186,14 +193,26 @@ def is_d_collapsible(
     return _search(cx, KIND_COLLAPSE, d, budget)
 
 
-def _rule(kind: str, cx: SimplicialComplex, d: int) -> tuple[Callable, tuple[int, ...]]:
-    """The move and the goal of a free sequence of the given kind on cx.
-    A collapse deletes a face with everything above it and ends at the
-    void complex; a simplicial order keeps the face itself and ends at
-    the facets of the (d-1)-skeleton of the ambient simplex."""
+def _rule(
+    kind: str, cx: SimplicialComplex, d: int
+) -> tuple[Callable, Callable[[tuple[int, ...]], bool]]:
+    """The move and the goal test, on facets, of a free sequence of the
+    given kind on cx. A collapse deletes a face with everything above it
+    and ends at the void complex: no facets are left. A simplicial order
+    keeps the face itself and ends at the (d-1)-skeleton of the simplex
+    on the ambient set A: the facets are exactly (A,) when |A| <= d, and
+    otherwise comb(|A|, d) facets of d vertices each, which are then
+    every d-subset of A. The goal is tested, never listed."""
     if kind == KIND_COLLAPSE:
-        return SimplicialComplex.delete_all, ()
-    return SimplicialComplex.face_deletion, simplex_skeleton(cx.n, cx.ambient, d - 1).facets
+        return SimplicialComplex.delete_all, lambda facets: not facets
+    amb = cx.ambient
+    size = amb.bit_count()
+    if size <= d:
+        return SimplicialComplex.face_deletion, lambda facets: facets == (amb,)
+    top = comb(size, d)
+    return SimplicialComplex.face_deletion, lambda facets: (
+        len(facets) == top and all(f.bit_count() == d for f in facets)
+    )
 
 
 def _candidates(kind: str, cx: SimplicialComplex, d: int) -> Sequence[int]:
@@ -211,8 +230,8 @@ def _search(cx: SimplicialComplex, kind: str, d: int, budget: int) -> FreeSequen
     candidates in ascending mask order and skipping states already known
     to fail; None when none exists. The caller has checked cx: a
     simplicial order needs a d-closure."""
-    move, goal = _rule(kind, cx, d)
-    if cx.facets == goal:
+    move, done = _rule(kind, cx, d)
+    if done(cx.facets):
         return FreeSequence(kind, d, ())
     nodes = 0
     dead: set[tuple[int, ...]] = set()
@@ -230,7 +249,7 @@ def _search(cx: SimplicialComplex, kind: str, d: int, budget: int) -> FreeSequen
                 f"{_SEARCH_NAMES[kind]} search exceeded the node budget ({budget})"
             )
         nxt = move(cur, e)
-        if nxt.facets == goal:
+        if done(nxt.facets):
             return FreeSequence(kind, d, tuple(fr[2] for fr in frames[1:]) + (e,))
         if nxt.facets not in dead:
             frames.append((nxt, iter(_candidates(kind, nxt, d)), e))
@@ -318,13 +337,24 @@ def verify_sequence(cx: SimplicialComplex, seq: FreeSequence, d: int) -> bool:
     current complex, and the replay must end void. For a simplicial
     order: the start must be a d-closure, each face a non-facet free
     (d-1)-face, and the replay must end at the full (d-1)-skeleton.
+
+    The start of an accepted order is a d-closure without a check of its
+    own: if E is a free non-facet face of C with d vertices, then C is a
+    d-closure iff its face deletion at E is one. One way is shown in
+    `simplicial_deletions`. For the other, let the deletion be a
+    d-closure; it holds every set of at most d vertices, and so does C.
+    Take a set G of the ambient set whose (d+1)-subsets all lie in C.
+    If G does not contain E, none of those subsets contains E, so they
+    survive the deletion and G is a face of it, so of C. If G contains
+    E, each E + x with x in G lies in the only facet F of C containing
+    E, so G lies in F. The (d-1)-skeleton is itself a d-closure, so by
+    induction back along the replay, a replay that reaches it started at
+    a d-closure.
     """
     if d < 1 or seq.kind not in _SEARCH_NAMES:
         return False
     order = seq.kind == KIND_SIMPLICIAL_ORDER
-    if order and not is_d_closure(cx, d):
-        return False
-    move, goal = _rule(seq.kind, cx, d)
+    move, done = _rule(seq.kind, cx, d)
     cur = cx
     for e in seq.faces:
         if (e.bit_count() != d or e in cur.facets) if order else e.bit_count() > d:
@@ -332,4 +362,4 @@ def verify_sequence(cx: SimplicialComplex, seq: FreeSequence, d: int) -> bool:
         if sum(1 for f in cur.facets if e & ~f == 0) != 1:
             return False
         cur = move(cur, e)
-    return cur.facets == goal
+    return done(cur.facets)

@@ -16,11 +16,9 @@ Exit status: 0 = computed (or verdict true), 1 = negative verdict,
 2 = input error (including an option the subcommand does not take),
 3 = budget exhausted (search nodes, d-closure faces for closure,
 chordal, classify and experiment, or LCM lattice members for betti,
-linres, cwl and classify). verify takes no --budget, but replaying a
-simplicial order rebuilds the d-closure under the default budget, so
-it can still exit 3. Verdict-valued
-subcommands use status 1 for "false" so shell pipelines can branch on
-them; this deliberately diverges from errors-only conventions.
+linres, cwl and classify). Verdict-valued subcommands use status 1
+for "false" so shell pipelines can branch on them; this deliberately
+diverges from errors-only conventions.
 """
 
 from __future__ import annotations

@@ -21,38 +21,38 @@ from .ideals import (
 )
 
 
+def _exchange_closed(gens: tuple[int, ...], among: int, top_only: bool) -> bool:
+    """Whether x_i·u/x_j stays in the ideal generated by `gens` for each
+    generator u, each j in u (only the largest when `top_only`), and each
+    i < j in the mask `among` that is not in u.
+
+    Generators suffice: a member C of the ideal lies above a generator
+    u, and for j in C and i < j outside C, the set C - j + i lies above
+    u - j + i when j is in u (i is outside u, and j is the top of u if
+    it is the top of C), and above u otherwise."""
+    for u in gens:
+        for j in iter_vertices((1 << u.bit_length()) >> 1 if top_only else u):
+            base = u & ~(1 << (j - 1))
+            for i in iter_vertices(among & ~u & ((1 << (j - 1)) - 1)):
+                swapped = base | 1 << (i - 1)
+                if not any(g & ~swapped == 0 for g in gens):
+                    return False
+    return True
+
+
 def is_squarefree_stable(ideal: SquarefreeIdeal) -> bool:
     """Exchange check: the top variable of any generator can be swapped
-    for any smaller unused one without leaving the ideal. Checking the
-    minimal generators suffices."""
+    for any smaller unused one without leaving the ideal."""
     if ideal.is_zero:
         raise ZeroIdealError("stability of the zero ideal is undefined")
-    for g in ideal.gens:
-        m = g.bit_length()  # largest variable index in the support
-        swapped_base = g & ~(1 << (m - 1))
-        for i in range(1, m):
-            bit = 1 << (i - 1)
-            if g & bit:
-                continue
-            if not ideal.contains(swapped_base | bit):
-                return False
-    return True
+    return _exchange_closed(ideal.gens, (1 << ideal.n) - 1, True)
 
 
 def is_squarefree_strongly_stable(ideal: SquarefreeIdeal) -> bool:
     """Exchange check over every variable of every minimal generator."""
     if ideal.is_zero:
         raise ZeroIdealError("stability of the zero ideal is undefined")
-    for g in ideal.gens:
-        for j in iter_vertices(g):
-            base = g & ~(1 << (j - 1))
-            for i in range(1, j):
-                bit = 1 << (i - 1)
-                if g & bit:
-                    continue
-                if not ideal.contains(base | bit):
-                    return False
-    return True
+    return _exchange_closed(ideal.gens, (1 << ideal.n) - 1, False)
 
 
 def is_strongly_stable(ideal: MonomialIdeal) -> bool:
@@ -75,22 +75,19 @@ def is_strongly_stable(ideal: MonomialIdeal) -> bool:
 
 
 def is_shifted(cx: SimplicialComplex) -> bool:
-    """Whether trading any vertex of a face for a larger one stays in
-    the complex.
+    """Whether trading any vertex of a face for a larger one of the
+    ambient set A stays in the complex.
 
-    Facets suffice. Let G lie in a facet F, i be in G and j > i be
-    outside G. If j is in F, then G - i + j lies in F; otherwise it
-    lies in F - i + j. Either way it is a face once every exchange on
-    a facet gives a face.
+    This is the strongly stable exchange of the ideal generated by the
+    facet complements A - F, among the vertices of A. A set G in A is a
+    face iff its complement C = A - G contains some A - F, i.e. lies in
+    that ideal; and G - i + j, for i in G and j > i in A outside G, is
+    the complement of C - j + i, for j in C and i < j in A outside C. So
+    every exchange of the complex stays a face iff every exchange of the
+    ideal stays in it. The void complex has no facets and is shifted.
     """
-    for f in cx.facets:
-        rest = cx.ambient & ~f
-        for i in iter_vertices(f):
-            base = f & ~(1 << (i - 1))
-            for j in iter_vertices(rest):
-                if j > i and not cx.is_face(base | (1 << (j - 1))):
-                    return False
-    return True
+    amb = cx.ambient
+    return _exchange_closed(tuple(amb & ~f for f in cx.facets), amb, False)
 
 
 def _shedding_split(
@@ -249,13 +246,10 @@ def classify(ideal: SquarefreeIdeal, *, budget: int = DEFAULT_BUDGET) -> dict:
     `budget` bounds each chordality search, each d-closure and each LCM
     lattice of the componentwise linearity check.
 
-    The dual is shifted exactly when the ideal is square-free strongly
-    stable, so one check gives both entries. The dual's facets are the
-    complements in [n] of the generators, so G is a face of it iff
-    C = [n] - G lies in the ideal; and G - i + j, for i in G and j > i
-    outside G, is the complement of C - j + i, for j in C and i < j
-    outside C. So every exchange of the dual stays a face iff every
-    exchange of the ideal stays in it.
+    The dual's facets are the complements in [n] of the generators, so
+    `is_shifted` on it runs the very exchange of
+    `is_squarefree_strongly_stable` (see `is_shifted`), and one check
+    gives both entries.
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal is not classified")

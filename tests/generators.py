@@ -5,6 +5,7 @@ consume the passed-in Random object, so runs are reproducible."""
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from srchordal import (
     Monomial,
@@ -246,6 +247,27 @@ def random_strongly_stable_monomial_ideal(
                         added = True
         if not added:
             return ideal
+
+
+def random_box_nerve(rng: random.Random, n: int, d: int) -> SimplicialComplex:
+    """The nerve of n random boxes in R^d with integer corners in
+    [0, 4)^d: box v is a vertex, and a set of boxes is a face when
+    they share a point. Boxes with integer corners that meet share an
+    integer point (the corner of the meet with the largest lower
+    bounds), so the facets are the sets of boxes over each integer point
+    of the grid, found by coordinate checks."""
+    side = 4
+    boxes = []
+    for _ in range(n):
+        lo = [rng.randrange(side) for _ in range(d)]
+        boxes.append([(a, rng.randint(a, side - 1)) for a in lo])
+    over_points = []
+    for point in product(range(side), repeat=d):
+        over_points.append(mask_from_vertices(
+            v for v, box in enumerate(boxes, 1)
+            if all(a <= x <= b for x, (a, b) in zip(point, box))
+        ))
+    return SimplicialComplex.from_facets(n, over_points)
 
 
 def random_free_face_instance(

@@ -177,6 +177,25 @@ def stable_betti(ideal: MonomialIdeal) -> dict[tuple[int, int], int]:
     return out
 
 
+# -- brute-force exchange over every member -------------------------------
+
+
+def brute_exchange_closed(ideal: SquarefreeIdeal, *, strongly: bool) -> bool:
+    """The square-free (strongly) stable exchange checked on every
+    square-free member of the ideal, not only on its generators: for
+    each member u, each j in u (only the largest unless `strongly`) and
+    each i < j outside u, the set u - j + i is a member."""
+    full = (1 << ideal.n) - 1
+    members = {u for u in range(full + 1) if any(g & ~u == 0 for g in ideal.gens)}
+    for u in members:
+        vs = list(iter_vertices(u))
+        for j in vs if strongly else vs[-1:]:
+            for i in range(1, j):
+                if not u >> (i - 1) & 1 and u - (1 << (j - 1)) + (1 << (i - 1)) not in members:
+                    return False
+    return True
+
+
 # -- brute-force complex references ----------------------------------------
 
 

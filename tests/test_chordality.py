@@ -5,12 +5,14 @@ import random
 import pytest
 
 from srchordal import (
+    GF2,
     DimensionRangeError,
     FreeSequence,
     NotAClosureError,
     SearchBudgetExceeded,
     SimplicialComplex,
     VoidComplexError,
+    betti_table,
     chordality_check_range,
     d_chordal_order,
     d_closure,
@@ -24,9 +26,17 @@ from srchordal import (
     simplex_skeleton,
     simplicial_deletions,
     simplicial_faces,
+    stanley_reisner_ideal,
     verify_sequence,
 )
-from srchordal.chordality import KIND_COLLAPSE, _candidates, _free_faces
+from srchordal.chordality import (
+    DEFAULT_BUDGET,
+    KIND_COLLAPSE,
+    KIND_SIMPLICIAL_ORDER,
+    _candidates,
+    _free_faces,
+    _search,
+)
 from data import (
     BUDGET_GADGET_FACETS,
     DUNCE_HAT_FACETS,
@@ -34,7 +44,13 @@ from data import (
     FIG4_FACETS,
     HOLLOW_TETRA_FACETS,
 )
-from generators import plant_hole, random_complex, random_d_closure, random_small_facet_complex
+from generators import (
+    plant_hole,
+    random_box_nerve,
+    random_complex,
+    random_d_closure,
+    random_small_facet_complex,
+)
 from oracles import brute_d_closure, brute_is_d_collapsible
 
 EX0 = SimplicialComplex.from_facets(5, EX0_FACETS)
@@ -496,9 +512,75 @@ class TestVerifySequence:
             if col is not None:
                 assert verify_sequence(closure, col, d)
 
+    def test_a_replay_that_reaches_the_skeleton_started_at_a_closure(self):
+        # a d-closure C and its face deletion at a free non-facet d-set
+        # are closures together, so verify needs no closure check of its
+        # own: the closure's order is rejected on every non-closure, and
+        # no order is found on one
+        rng = random.Random(315)
+        rejected = accepted = 0
+        for k in range(300):
+            cx = random_small_facet_complex(rng, 4, 6) if k % 2 else random_complex(rng, 6)
+            d = rng.randint(1, 2)
+            closure = d_closure(cx, d)
+            seq = find_simplicial_order(closure, d)
+            if seq is None:
+                continue
+            for start in (cx, closure):
+                expected = is_d_closure(start, d) and replay_reaches_skeleton(start, seq, d)
+                assert verify_sequence(start, seq, d) == expected
+            accepted += 1
+            if cx != closure:
+                assert not verify_sequence(cx, seq, d)
+                assert _search(cx, KIND_SIMPLICIAL_ORDER, d, DEFAULT_BUDGET) is None
+                rejected += 1
+        assert rejected > 30 and accepted > rejected
+
     def test_certificate_json_round_trip(self):
         seq = FreeSequence("simplicial_order", 2, (fmask([1, 5]), fmask([1, 2])))
         assert FreeSequence.from_json_dict(seq.to_json_dict()) == seq
+
+
+def replay_reaches_skeleton(cx, seq, d):
+    """Replay a simplicial order step by step, without a closure check:
+    each face a free non-facet d-set, ending at the (d-1)-skeleton."""
+    cur = cx
+    for e in seq.faces:
+        if e.bit_count() != d or e in cur.facets:
+            return False
+        if sum(1 for f in cur.facets if e & ~f == 0) != 1:
+            return False
+        cur = cur.face_deletion(e)
+    return cur == simplex_skeleton(cx.n, cx.ambient, d - 1)
+
+
+class TestBoxNerves:
+    """Wegner (1975): the nerve of convex sets in R^d is d-collapsible,
+    hence d-Leray: every induced subcomplex has no homology in degree d
+    or above, which by Hochster's formula puts every Betti number of its
+    Stanley-Reisner ideal at j <= i + d + 1."""
+
+    def test_nerve_is_d_collapsible_and_the_certificate_replays(self):
+        rng = random.Random(316)
+        for _ in range(120):
+            d = rng.randint(1, 3)
+            nerve = random_box_nerve(rng, rng.randint(2, 8), d)
+            seq = is_d_collapsible(nerve, d)
+            assert seq is not None, nerve
+            assert verify_sequence(nerve, seq, d)
+
+    def test_betti_numbers_lie_within_d_plus_one_of_the_diagonal(self):
+        rng = random.Random(317)
+        tight = 0
+        for _ in range(120):
+            d = rng.randint(1, 3)
+            nerve = random_box_nerve(rng, rng.randint(2, 8), d)
+            if nerve.facets == (nerve.ambient,):
+                continue  # boxes with a common point: the zero ideal
+            entries = betti_table(stanley_reisner_ideal(nerve), GF2).as_dict()
+            assert all(j <= i + d + 1 for i, j in entries), (nerve, d)
+            tight += any(j == i + d + 1 for i, j in entries)
+        assert tight > 10
 
 
 class TestPaperProperties:

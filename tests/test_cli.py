@@ -98,6 +98,33 @@ class TestExitStatus:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "n, argv, message",
+        [
+            (22, ["--d", "11", "--budget", "1000"],
+             "the 11-closure exceeded the face budget (1000)"),
+            (64, ["--d", "32"], "the 32-closure exceeded the face budget (10000000)"),
+        ],
+        ids=["22_vertices", "64_vertices_default_budget"],
+    )
+    def test_closure_budget_is_checked_before_any_level_is_listed(
+        self, tmp_path, capsys, n, argv, message
+    ):
+        # comb(n, d) d-sets are over the budget before one is built
+        path = tmp_path / "simplex.json"
+        path.write_text(json.dumps({"n": n, "facets": [list(range(1, n + 1))]}))
+        tracemalloc.start()
+        try:
+            code = main(["closure", *argv, str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == EXIT_BUDGET
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert peak < 1 << 20
+
     def test_lattice_budget_counts_for_cwl(self, files, capsys):
         code = main(["cwl", "--budget", "10000", files["wide_lattice"]])
         captured = capsys.readouterr()
@@ -270,6 +297,24 @@ class TestSubcommands:
         cert.write_text(json.dumps(payload["certificate"]))
         code, out = run(["verify", "--certificate", str(cert), files["ex0"]], capsys)
         assert (code, json.loads(out)) == (EXIT_OK, {"valid": True})
+
+    def test_verify_replays_an_order_without_building_the_closure(
+        self, files, tmp_path, capsys
+    ):
+        # deleting the proper superfaces of {1}, ..., {29} in turn leaves
+        # the 30 vertices, the 0-skeleton; the 1-closure of the simplex
+        # has 2^30 faces and is never listed
+        cert = tmp_path / "cert.json"
+        faces = [[v] for v in range(1, 30)]
+        cert.write_text(json.dumps({"kind": "simplicial_order", "d": 1, "faces": faces}))
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--certificate", str(cert), files["simplex30"]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, json.loads(capsys.readouterr().out)) == (EXIT_OK, {"valid": True})
+        assert peak < 1 << 20
 
     def test_collapsible_false_on_hollow_triangle(self, files, capsys):
         # every vertex lies in two edges, so no face of dimension < 1 is free

@@ -41,7 +41,7 @@ from generators import (
     random_stable_ideal,
     random_strongly_stable_monomial_ideal,
 )
-from oracles import brute_is_shifted, stable_betti
+from oracles import brute_exchange_closed, brute_is_shifted, stable_betti
 
 
 class TestStableCheckers:
@@ -67,6 +67,18 @@ class TestStableCheckers:
     def test_zero_ideal_rejected(self):
         with pytest.raises(ZeroIdealError):
             is_squarefree_stable(SquarefreeIdeal.zero(3))
+
+    def test_agree_with_the_exchange_over_every_member(self):
+        rng = random.Random(513)
+        stable, strongly = [], []
+        for k in range(600):
+            ideal = random_stable_ideal(rng, 7) if k % 2 else random_ideal(rng, 7, min_n=1)
+            stable.append(is_squarefree_stable(ideal))
+            strongly.append(is_squarefree_strongly_stable(ideal))
+            assert stable[-1] == brute_exchange_closed(ideal, strongly=False), ideal
+            assert strongly[-1] == brute_exchange_closed(ideal, strongly=True), ideal
+        for verdicts in (stable, strongly):
+            assert 0 < sum(verdicts) < len(verdicts)
 
     def test_definition_replay_on_accepted_inputs(self):
         # re-running the raw exchange over every member never fails on
@@ -97,6 +109,10 @@ class TestShifted:
         assert is_shifted(SimplicialComplex.from_facets(3, [[2, 3]]))
         assert not is_shifted(SimplicialComplex.from_facets(3, [[1, 2]]))
         assert is_shifted(SimplicialComplex.simplex(4))
+        for ambient in (0b1111, 0b1010, 0):
+            for facets in ((), (0,)):  # the void complex and {∅}
+                cx = SimplicialComplex(4, facets, ambient=ambient)
+                assert is_shifted(cx) and brute_is_shifted(cx)
 
     def test_generator_output_is_shifted(self):
         rng = random.Random(503)
@@ -105,12 +121,16 @@ class TestShifted:
 
     def test_facets_agree_with_every_face(self):
         rng = random.Random(512)
+        w_rng = random.Random(514)
         verdicts = []
         for _ in range(300):
             cx = random_complex(rng, 7, max_facets=4)
-            verdicts.append(is_shifted(cx))
-            assert verdicts[-1] == brute_is_shifted(cx), cx
-        assert 0 < sum(verdicts) < len(verdicts)
+            # an induced subcomplex lives on W, so exchanges stay inside W
+            for sub in (cx, cx.induced(w_rng.getrandbits(cx.n))):
+                verdicts.append(is_shifted(sub))
+                assert verdicts[-1] == brute_is_shifted(sub), sub
+        for side in (verdicts[0::2], verdicts[1::2]):
+            assert 0 < sum(side) < len(side)
 
     def test_dual_shifted_iff_strongly_stable(self):
         # classify reads both entries off one check: G is a face of the
