@@ -47,6 +47,7 @@ the single entry (0, 1) -> 1, and (x1*x2) in two variables has
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -63,6 +64,7 @@ from .ideals import SquarefreeIdeal, degree_component
 from .linalg import gf2_rank, gfp_rank, int_rank
 
 _PRIME_LIMIT = 1 << 31
+_FIELD_RE = re.compile(r"gf(?:p:)?([0-9]{1,10})")  # 2^31 has 10 digits
 
 
 def _is_prime(p: int) -> bool:
@@ -97,17 +99,16 @@ class FieldSpec:
 
     @classmethod
     def parse(cls, label: str) -> "FieldSpec":
+        """char0, q or 0, or gfP or gfp:P, in any case. P is checked to be
+        1-10 ASCII digits before it is converted, since int() also takes
+        signs, spaces, underscores and the digits of other scripts."""
         s = label.strip().lower()
         if s in ("char0", "q", "0"):
             return cls(0)
-        if s.startswith("gfp:"):
-            s = "gf" + s[4:]
-        if s.startswith("gf"):
-            try:
-                return cls(int(s[2:]))
-            except ValueError as exc:
-                raise FormatError(f"bad field label {label!r}") from exc
-        raise FormatError(f"bad field label {label!r}")
+        m = _FIELD_RE.fullmatch(s)
+        if m is None:
+            raise FormatError(f"bad field label {label!r}")
+        return cls(int(m.group(1)))
 
 
 GF2 = FieldSpec(2)

@@ -40,8 +40,6 @@ def subsets_of_size(mask: int, k: int) -> Iterator[int]:
         yield 0
         return
     bits = [1 << (v - 1) for v in iter_vertices(mask)]
-    if k > len(bits):
-        return
     for combo in combinations(bits, k):
         m = 0
         for b in combo:

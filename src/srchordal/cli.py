@@ -68,10 +68,6 @@ def _load_complex(path: str) -> SimplicialComplex:
     return SimplicialComplex.from_json_dict(data)
 
 
-def _load_ideal(path: str):
-    return parse_squarefree_ideal(_read_input(path))
-
-
 def _fields_for(choice: str) -> list[FieldSpec]:
     if choice == "both":
         return [GF2, CHAR0]
@@ -128,23 +124,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     # each subcommand declares only the options its runner reads
-    subs = {
-        name: sub.add_parser(name, parents=parents, help=text)
-        for name, parents, text in [
-            ("closure", [common, budget], "emit the d-closure of a complex"),
-            ("chordal", [common, budget], "decide (d-)chordality of a complex"),
-            ("collapsible", [common, budget], "decide d-collapsibility of a complex"),
-            ("verify", [common], "replay a certificate against a complex"),
-            ("betti", [common, budget, field], "graded Betti table of an ideal"),
-            ("linres", [common, budget, field],
-             "decide d-linear resolution of an equigenerated ideal"),
-            ("cwl", [common, budget, field], "decide componentwise linearity of an ideal"),
-            ("classify", [common, budget], "run every family checker on an ideal"),
-            ("dual", [common], "Alexander dual of a complex"),
-            ("nonfaces", [common], "minimal nonfaces of a complex"),
-            ("sigma", [common], "square-free operator pipeline on a strongly stable ideal"),
-        ]
-    }
+    subs = {}
+    for name, parents, text, run in [
+        ("closure", [common, budget], "emit the d-closure of a complex", _run_closure),
+        ("chordal", [common, budget], "decide (d-)chordality of a complex", _run_chordal),
+        ("collapsible", [common, budget], "decide d-collapsibility of a complex",
+         _run_collapsible),
+        ("verify", [common], "replay a certificate against a complex", _run_verify),
+        ("betti", [common, budget, field], "graded Betti table of an ideal", _run_betti),
+        ("linres", [common, budget, field],
+         "decide d-linear resolution of an equigenerated ideal", _run_linres),
+        ("cwl", [common, budget, field], "decide componentwise linearity of an ideal", _run_cwl),
+        ("classify", [common, budget], "run every family checker on an ideal", _run_classify),
+        ("dual", [common], "Alexander dual of a complex", _run_dual),
+        ("nonfaces", [common], "minimal nonfaces of a complex", _run_nonfaces),
+        ("sigma", [common], "square-free operator pipeline on a strongly stable ideal",
+         _run_sigma),
+    ]:
+        subs[name] = sub.add_parser(name, parents=parents, help=text)
+        subs[name].set_defaults(run=run)
     for name in ("closure", "collapsible", "linres"):
         subs[name].add_argument("--d", type=int, required=True)
     subs["chordal"].add_argument(
@@ -169,6 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-n", type=int, default=6, help="largest vertex count drawn; at least max(d+1, 3)"
     )
     p.add_argument("--d", type=int, default=2)
+    p.set_defaults(run=_run_experiment)
 
     return parser
 
@@ -196,14 +195,11 @@ def _run_chordal(args) -> _Result:
     lo, hi = chordality_check_range(cx)
     checked = list(range(lo, hi + 1))
     certificates = {}
-    verdict = True
     for d in checked:
-        seq = d_chordal_order(cx, d, budget=args.budget)
-        if seq is None:
-            verdict = False
-            certificates[str(d)] = None
+        certificates[str(d)] = _cert_json(d_chordal_order(cx, d, budget=args.budget))
+        if certificates[str(d)] is None:
             break
-        certificates[str(d)] = seq.to_json_dict()
+    verdict = None not in certificates.values()
     payload = {"chordal": verdict, "checked_d": checked, "certificates": certificates}
     return verdict, payload, f"chordal: {verdict} (checked d = {checked})"
 
@@ -226,7 +222,7 @@ def _run_verify(args) -> _Result:
 
 
 def _run_betti(args) -> _Result:
-    ideal = _load_ideal(args.input)
+    ideal = parse_squarefree_ideal(_read_input(args.input))
     fields = _fields_for(args.field)
     tables = {f.label: betti_table(ideal, f, budget=args.budget) for f in fields}
     payload = {label: t.to_json_dict() for label, t in tables.items()}
@@ -238,7 +234,7 @@ def _run_betti(args) -> _Result:
 
 
 def _run_linres(args) -> _Result:
-    ideal = _load_ideal(args.input)
+    ideal = parse_squarefree_ideal(_read_input(args.input))
     degs = set(ideal.degrees())
     if degs != {args.d}:
         raise SRChordalError(
@@ -253,7 +249,7 @@ def _run_linres(args) -> _Result:
 
 
 def _run_cwl(args) -> _Result:
-    ideal = _load_ideal(args.input)
+    ideal = parse_squarefree_ideal(_read_input(args.input))
     results = {
         f.label: is_componentwise_linear(ideal, f, budget=args.budget)
         for f in _fields_for(args.field)
@@ -263,7 +259,7 @@ def _run_cwl(args) -> _Result:
 
 
 def _run_classify(args) -> _Result:
-    report = classify(_load_ideal(args.input), budget=args.budget)
+    report = classify(parse_squarefree_ideal(_read_input(args.input)), budget=args.budget)
     return None, report, "\n".join(f"{k}: {v}" for k, v in report.items())
 
 
@@ -327,22 +323,6 @@ def _run_experiment(args) -> _Result:
     return None, payload, None
 
 
-_RUNNERS = {
-    "closure": _run_closure,
-    "chordal": _run_chordal,
-    "collapsible": _run_collapsible,
-    "verify": _run_verify,
-    "betti": _run_betti,
-    "linres": _run_linres,
-    "cwl": _run_cwl,
-    "classify": _run_classify,
-    "dual": _run_dual,
-    "nonfaces": _run_nonfaces,
-    "sigma": _run_sigma,
-    "experiment": _run_experiment,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -350,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
         # trials draw n from max(d+1, 3)..max_n
         parser.error(f"experiment q2 needs --max-n >= {max(args.d + 1, 3)} for --d {args.d}")
     try:
-        verdict, payload, pretty = _RUNNERS[args.command](args)
+        verdict, payload, pretty = args.run(args)
         if pretty is not None and args.format == "pretty":
             print(pretty)
         else:

@@ -135,8 +135,6 @@ class SimplicialComplex:
 
     def faces_of_dim(self, k: int) -> list[int]:
         """All k-dimensional faces, ascending by mask."""
-        if k == -1:
-            return [0] if not self.is_void else []
         out: set[int] = set()
         for f in self.facets:
             out.update(subsets_of_size(f, k + 1))
@@ -167,8 +165,6 @@ class SimplicialComplex:
         m = self._coerce_face(face)
         if not self.is_face(m):
             raise NotAFaceError(f"{vertices_from_mask(m)} is not a face")
-        if m == 0:
-            return self
         amb = self.ambient & ~m
         pieces = sorted(f & ~m for f in self.facets if f & m == m)
         return SimplicialComplex._raw(self.n, amb, tuple(pieces))
@@ -255,8 +251,6 @@ class SimplicialComplex:
             ambient = mask_from_json_labels(data["vertices"], '"vertices"')
         raw = data["facets"]
         if raw is None:
-            if ambient is None:
-                return cls.void(n)
             return cls(n, (), ambient=ambient)
         if not isinstance(raw, list):
             raise FormatError('"facets" must be null or a list of vertex lists')

@@ -169,48 +169,42 @@ class GotzmannDecomposition:
         return tuple(sorted(gens))
 
 
-def _factor_blocks(gens: list[int], first: bool) -> list[tuple[int, tuple[int, ...]]] | None:
-    common = gens[0]
-    for g in gens[1:]:
-        common &= g
-    if not first and common == 0:
-        return None
-    residual = [g & ~common for g in gens]
-    if any(r == 0 for r in residual):
-        # the generator equal to `common` divides all others, so the
-        # antichain forces a single generator: the principal tail. It
-        # has degree >= 2: the caller takes a lone variable, and the
-        # residuals passed down have at least two variables each.
-        assert common.bit_count() >= 2
-        return [(common, ())]
-    zs = sorted(r.bit_length() for r in residual if r.bit_count() == 1)
-    rest = [r for r in residual if r.bit_count() > 1]
-    if rest:
-        if not zs:
-            return None  # every non-final block needs at least one z
-        sub = _factor_blocks(rest, first=False)
-        if sub is None:
-            return None
-        return [(common, tuple(zs))] + sub
-    # a single generator leaves a zero residual (handled above), and the
-    # distinct residuals of two or more give two or more z; so a final
-    # block never has exactly one z, which keeps the canonical form
-    assert len(zs) >= 2
-    return [(common, tuple(zs))]
-
-
 def gotzmann_decomposition(ideal: SquarefreeIdeal) -> GotzmannDecomposition | None:
     """Constructive factorization into the nested-block form; None when
     the ideal does not fit it. The factorization is canonical: each
     block monomial is forced to be the common support of the remaining
-    generators."""
+    generators. Each pass peels off one block and passes on the
+    residuals of more than one variable."""
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no block decomposition")
     if len(ideal.gens) == 1 and ideal.gens[0].bit_count() == 1:
         return GotzmannDecomposition(((0, (ideal.gens[0].bit_length(),)),))
-    blocks = _factor_blocks(list(ideal.gens), first=True)
-    if blocks is None:
-        return None
+    blocks: list[tuple[int, tuple[int, ...]]] = []
+    gens = list(ideal.gens)
+    while gens:
+        common = gens[0]
+        for g in gens[1:]:
+            common &= g
+        if blocks and common == 0:
+            return None
+        residual = [g & ~common for g in gens]
+        if 0 in residual:
+            # the generator equal to `common` divides all others, so the
+            # antichain forces a single generator: the principal tail. It
+            # has degree >= 2: the first pass never meets a lone variable,
+            # and the residuals passed on have at least two variables each.
+            assert common.bit_count() >= 2
+            blocks.append((common, ()))
+            break
+        zs = tuple(sorted(r.bit_length() for r in residual if r.bit_count() == 1))
+        gens = [r for r in residual if r.bit_count() > 1]
+        if gens and not zs:
+            return None  # every non-final block needs at least one z
+        # a single generator leaves a zero residual (handled above), and the
+        # distinct residuals of two or more give two or more z; so a final
+        # block never has exactly one z, which keeps the canonical form
+        assert gens or len(zs) >= 2
+        blocks.append((common, zs))
     return GotzmannDecomposition(tuple(blocks))
 
 

@@ -358,10 +358,7 @@ def parse_squarefree_ideal(text: str) -> SquarefreeIdeal:
                 raise FormatError(f"repeated variable x{var}: input must be square-free")
             mask |= bit
         masks.append(mask)
-    try:
-        return SquarefreeIdeal(n, masks)
-    except (VertexRangeError, ZeroIdealError) as exc:
-        raise FormatError(str(exc)) from exc
+    return SquarefreeIdeal(n, masks)
 
 
 def parse_monomial_ideal(text: str) -> MonomialIdeal:
@@ -373,10 +370,7 @@ def parse_monomial_ideal(text: str) -> MonomialIdeal:
         for var, exp in factors:
             exps[var - 1] += exp
         gens.append(Monomial(exps))
-    try:
-        return MonomialIdeal(n, gens)
-    except (VertexRangeError, ZeroIdealError) as exc:
-        raise FormatError(str(exc)) from exc
+    return MonomialIdeal(n, gens)
 
 
 def format_squarefree_ideal(ideal: SquarefreeIdeal) -> str:

@@ -5,11 +5,18 @@ holds a 1. A GF(p) or rational row is a dict {column: entry} of integer
 entries; absent columns are zero. A boundary row of a face then costs
 as much as the face has vertices, whatever the width of the matrix.
 
-Every routine eliminates on the leading (lowest) column: a row is
-reduced against the pivot stored under its leading column until it is
-zero or leads in a column with no pivot yet, where it becomes the
-pivot. Pivots lead in distinct columns, so they are independent, and
-their count is the rank.
+`gfp_rank` and `int_rank` eliminate on the leading (lowest) column: a
+row is reduced against the pivot stored under its leading column until
+it is zero or leads in a column with no pivot yet, where it becomes the
+pivot. `gf2_rank` keeps its pivots in a list, in the order they were
+found, and passes each row once along it, adding every pivot whose
+lowest bit the row holds at that point. This is exact because each
+pivot's lowest bit is clear in every later pivot, which was reduced the
+same way before it was kept: after a pivot's turn the row lacks that
+pivot's lowest bit, and no later addition sets it again. A row left
+nonzero thus holds no pivot's lowest bit and becomes a pivot with a
+lowest bit of its own. In every routine the pivots lead in distinct
+columns, so they are independent, and their count is the rank.
 
 No floating point anywhere; Betti numbers are integers over a fixed
 field and must be computed exactly. Over the rationals the updates are

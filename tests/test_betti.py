@@ -2,6 +2,7 @@
 paper-level stability statements about adding generators."""
 
 import random
+import re
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -33,7 +34,13 @@ from srchordal import (
     truncation_leq,
 )
 from data import DUNCE_HAT_FACETS, EX0_FACETS
-from generators import random_complex, random_free_face_instance, random_ideal, random_proper_complex
+from generators import (
+    random_complex,
+    random_free_face_instance,
+    random_ideal,
+    random_proper_complex,
+    random_small_facet_complex,
+)
 
 EX0 = SimplicialComplex.from_facets(5, EX0_FACETS)
 BOTH_FIELDS = (GF2, CHAR0)
@@ -45,12 +52,33 @@ class TestFieldSpec:
         assert FieldSpec.parse("char0") == CHAR0
         assert FieldSpec.parse("gfp:7") == FieldSpec(7)
         assert FieldSpec(101).label == "gf101"
+        for label in ("q", "0", "CHAR0", " Q "):
+            assert FieldSpec.parse(label) == CHAR0
+        assert FieldSpec.parse("GF3") == FieldSpec.parse("GFP:3") == FieldSpec(3)
+        assert FieldSpec.parse("gf2147483647") == FieldSpec(2147483647)
 
     def test_rejects_nonprime(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=re.escape("prime < 2^31, got 6")):
             FieldSpec(6)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=re.escape("prime < 2^31, got 9")):
             FieldSpec.parse("gf9")
+
+    @pytest.mark.parametrize("label, p", [("gfp:4", 4), ("gf9", 9), ("gf1", 1)])
+    def test_reports_the_characteristic_error(self, label, p):
+        with pytest.raises(FormatError) as exc:
+            FieldSpec.parse(label)
+        assert str(exc.value) == f"field characteristic must be 0 or a prime < 2^31, got {p}"
+
+    @pytest.mark.parametrize(
+        "label",
+        # int() reads the first four as 3, 3, 13 and 3 (an Arabic-Indic digit)
+        ["gf+3", "gf 3", "gf1_3", "gf\u0663", "gf", "gfp:", "gf-2", "gf3.0", "gf00000000003",
+         "gf99999999999999999999", "f2", "gfq:3"],
+    )
+    def test_rejects_labels_that_are_not_ascii_digits(self, label):
+        with pytest.raises(FormatError) as exc:
+            FieldSpec.parse(label)
+        assert str(exc.value) == f"bad field label {label!r}"
 
 
 class TestReducedHomology:
@@ -85,17 +113,28 @@ class TestReducedHomology:
         assert reduced_homology_dims(rp2, FieldSpec(3))[1] == 0
 
     def test_euler_consistency_random(self):
-        rng = random.Random(401)
-        for _ in range(80):
-            cx = random_complex(rng, 7)
-            if cx.is_void:
-                continue
-            field = rng.choice((GF2, CHAR0, FieldSpec(3)))
+        def check(cx, field):
             hom = reduced_homology_dims(cx, field)
             lhs = sum((-1) ** i * d for i, d in hom.items())
             f_counts = {k: len(cx.faces_of_dim(k)) for k in range(cx.dim + 1)}
             rhs = -1 + sum((-1) ** k * c for k, c in f_counts.items())
             assert lhs == rhs
+            return any(hom.values())
+
+        rng = random.Random(401)
+        for _ in range(80):
+            cx = random_complex(rng, 7)
+            if cx.is_void:
+                continue
+            check(cx, rng.choice((GF2, CHAR0, FieldSpec(3))))
+        # most of the draws above are the full simplex, which is acyclic
+        rng = random.Random(402)
+        proper = with_homology = 0
+        for _ in range(80):
+            cx = random_small_facet_complex(rng, 3, 7)
+            proper += cx.facets != (cx.ambient,)
+            with_homology += check(cx, rng.choice((GF2, CHAR0, FieldSpec(3))))
+        assert proper >= 60 and with_homology >= 30
 
 
 class TestBettiTable:

@@ -7,6 +7,7 @@ import pytest
 from srchordal import (
     GF2,
     DimensionRangeError,
+    FormatError,
     FreeSequence,
     NotAClosureError,
     SearchBudgetExceeded,
@@ -539,6 +540,28 @@ class TestVerifySequence:
     def test_certificate_json_round_trip(self):
         seq = FreeSequence("simplicial_order", 2, (fmask([1, 5]), fmask([1, 2])))
         assert FreeSequence.from_json_dict(seq.to_json_dict()) == seq
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"kind": "collapse", "d": 1}, 'certificate JSON needs "kind", "d" and "faces"'),
+            (["collapse", 1, []], 'certificate JSON needs "kind", "d" and "faces"'),
+            ({"kind": "bogus", "d": 1, "faces": []}, "unknown certificate kind 'bogus'"),
+            ({"kind": "collapse", "d": 0, "faces": []}, '"d" must be a positive integer'),
+            ({"kind": "collapse", "d": True, "faces": []}, '"d" must be a positive integer'),
+            ({"kind": "collapse", "d": "2", "faces": []}, '"d" must be a positive integer'),
+            ({"kind": "collapse", "d": 1, "faces": {"1": [1]}},
+             '"faces" must be a list of vertex lists'),
+            ({"kind": "collapse", "d": 1, "faces": None},
+             '"faces" must be a list of vertex lists'),
+        ],
+        ids=["missing_key", "not_an_object", "unknown_kind", "zero_d", "boolean_d", "string_d",
+             "faces_object", "faces_null"],
+    )
+    def test_certificate_json_rejections(self, data, message):
+        with pytest.raises(FormatError) as exc:
+            FreeSequence.from_json_dict(data)
+        assert str(exc.value) == message
 
 
 def replay_reaches_skeleton(cx, seq, d):

@@ -1,5 +1,6 @@
 """Exit statuses and output of the command line, driven through main(argv)."""
 
+import io
 import json
 import tracemalloc
 
@@ -160,6 +161,30 @@ class TestExitStatus:
         assert captured.out == ""
         assert "vertex labels" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["dual", "{bad}"], "complex input is not valid JSON: "),
+            (["verify", "--certificate", "{bad}", "{ex0}"], "certificate is not valid JSON: "),
+        ],
+        ids=["complex", "certificate"],
+    )
+    def test_invalid_json_is_an_input_error(self, files, tmp_path, capsys, argv, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 3, "facets": [[1, 2]')
+        code = main([a.format(bad=bad, **files) for a in argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
+    def test_field_characteristic_error(self, files, capsys):
+        code = main(["betti", "--field", "gfp:4", files["triangle"]])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == "error: field characteristic must be 0 or a prime < 2^31, got 4\n"
+
     def test_negative_budget_is_rejected(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["chordal", "--budget", "-5", files["ex0"]])
@@ -287,6 +312,32 @@ class TestSubcommands:
         code, out = run(["closure", "--d", "1", files["ex0"]], capsys)
         assert code == EXIT_OK
         assert json.loads(out) == {"n": 5, "facets": [[1, 2, 3, 4], [1, 2, 4, 5]]}
+
+    @pytest.mark.parametrize(
+        "facets, checked",
+        [
+            ([[1, 2], [2, 3], [3, 4], [1, 4]], [1]),
+            # the range is [1, 2], d = 2 has an order and d = 1 has none:
+            # the search stops at the first d that fails
+            ([[1, 3, 4, 6], [2, 3, 5, 6], [1, 4, 7], [1, 3, 5, 7]], [1, 2]),
+        ],
+        ids=["four_cycle", "fails_first_of_two"],
+    )
+    def test_chordal_stops_at_the_first_failing_d(self, tmp_path, capsys, facets, checked):
+        path = tmp_path / "cx.json"
+        path.write_text(json.dumps({"n": max(map(max, facets)), "facets": facets}))
+        code, out = run(["chordal", str(path)], capsys)
+        assert code == EXIT_FALSE
+        assert json.loads(out) == {
+            "certificates": {"1": None}, "checked_d": checked, "chordal": False
+        }
+
+    @pytest.mark.parametrize("command, name", [("betti", "triangle"), ("dual", "ex0")])
+    def test_dash_reads_stdin(self, files, monkeypatch, capsys, command, name):
+        from_file = run([command, files[name]], capsys)
+        with open(files[name], encoding="utf-8") as fh:
+            monkeypatch.setattr("sys.stdin", io.StringIO(fh.read()))
+        assert run([command, "-"], capsys) == from_file
 
     def test_collapsible_certificate_replays(self, files, tmp_path, capsys):
         code, out = run(["collapsible", "--d", "2", files["ex0"]], capsys)

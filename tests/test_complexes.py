@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from srchordal import (
     DimensionRangeError,
+    FormatError,
     NotAFaceError,
     SimplicialComplex,
     VertexRangeError,
@@ -86,8 +87,12 @@ class TestIsFace:
 
     def test_matches_bruteforce(self):
         rng = random.Random(102)
-        for _ in range(50):
-            cx = random_complex(rng, 6)
+        drawn = [random_complex(rng, 6) for _ in range(50)]
+        # most of the draws above are the full simplex
+        rng = random.Random(1102)
+        added = [random_small_facet_complex(rng, 3, 6) for _ in range(50)]
+        assert sum(cx.facets != (cx.ambient,) for cx in added) >= 35
+        for cx in drawn + added:
             faces = brute_face_set(cx)
             for sub in range(1 << cx.n):
                 if sub & ~cx.ambient:
@@ -278,8 +283,12 @@ class TestMinimalNonfaces:
 
     def test_sound_and_complete_by_bruteforce(self):
         rng = random.Random(104)
-        for _ in range(120):
-            cx = random_complex(rng, 7)
+        drawn = [random_complex(rng, 7) for _ in range(120)]
+        # most of the draws above are the full simplex, which has no nonfaces
+        rng = random.Random(1104)
+        added = [random_small_facet_complex(rng, 3, 7) for _ in range(120)]
+        assert sum(cx.facets != (cx.ambient,) for cx in added) >= 90
+        for cx in drawn + added:
             got = set(cx.minimal_nonfaces())
             assert got == brute_minimal_nonfaces(cx)
 
@@ -315,6 +324,29 @@ class TestSerialization:
         data = sub.to_json_dict()
         assert data["vertices"] == [3, 5]
         assert SimplicialComplex.from_json_dict(data) == sub
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"n": 3}, 'complex JSON needs "n" and "facets" keys'),
+            ({"facets": [[1]]}, 'complex JSON needs "n" and "facets" keys'),
+            ([3, [[1]]], 'complex JSON needs "n" and "facets" keys'),
+            ({"n": 3, "facets": [1, 2]},
+             "each facet must be a list of integer vertex labels in 1..64"),
+            ({"n": 3, "facets": "[[1]]"}, '"facets" must be null or a list of vertex lists'),
+            ({"n": 3, "facets": {"1": [1]}}, '"facets" must be null or a list of vertex lists'),
+        ],
+        ids=["no_facets", "no_n", "not_an_object", "facet_not_a_list", "facets_string",
+             "facets_object"],
+    )
+    def test_rejections(self, data, message):
+        with pytest.raises(FormatError) as exc:
+            SimplicialComplex.from_json_dict(data)
+        assert str(exc.value) == message
+
+    def test_null_facets_keep_the_vertices(self):
+        cx = SimplicialComplex.from_json_dict({"n": 4, "vertices": [2, 3], "facets": None})
+        assert cx.is_void and cx.ambient == mask_from_vertices([2, 3])
 
     def test_mask_helpers(self):
         assert vertices_from_mask(mask_from_vertices([5, 1, 3])) == (1, 3, 5)

@@ -27,7 +27,7 @@ from srchordal import (
     stanley_reisner_ideal,
     truncation_leq,
 )
-from generators import random_complex, random_ideal
+from generators import random_complex, random_ideal, random_small_facet_complex
 from oracles import all_subsets_component
 
 EX0 = SimplicialComplex.from_facets(5, [[2, 5], [1, 4, 5], [1, 2, 3, 4]])
@@ -71,6 +71,12 @@ class TestCorrespondence:
             assert stanley_reisner_complex(stanley_reisner_ideal(cx)) == cx
             ideal = random_ideal(rng, 8)
             assert stanley_reisner_ideal(stanley_reisner_complex(ideal)) == ideal
+        # most complexes drawn above are the full simplex, whose ideal is zero
+        rng = random.Random(1201)
+        added = [random_small_facet_complex(rng, 3, 8) for _ in range(150)]
+        assert sum(cx.facets != (cx.ambient,) for cx in added) >= 110
+        for cx in added:
+            assert stanley_reisner_complex(stanley_reisner_ideal(cx)) == cx
 
 
 class TestDegreeComponent:
@@ -204,9 +210,17 @@ class TestTextFormat:
             (parse_squarefree_ideal, "x2\nx1^2*x3\n", "exponent on x1: input must be square-free"),
             (parse_squarefree_ideal, "x2 x3 x2\n",
              "repeated variable x2: input must be square-free"),
+            (parse_squarefree_ideal, "x1^0\n", "line 1: exponent must be >= 1"),
+            (parse_monomial_ideal, "x1^0\n", "line 1: exponent must be >= 1"),
+            (parse_squarefree_ideal, "n=3\nx1\nn=4\n", "line 3: duplicate n= header"),
+            (parse_monomial_ideal, "n=3\nx1\nn=4\n", "line 3: duplicate n= header"),
+            (parse_squarefree_ideal, "x1\n*\n", "line 2: empty monomial"),
+            (parse_monomial_ideal, "x1\n*\n", "line 2: empty monomial"),
         ],
         ids=["infer_squarefree", "infer_monomial", "exceeds_squarefree", "exceeds_monomial",
-             "exponent", "repeated"],
+             "exponent", "repeated", "zero_exponent_squarefree", "zero_exponent_monomial",
+             "second_header_squarefree", "second_header_monomial", "lone_star_squarefree",
+             "lone_star_monomial"],
     )
     def test_whole_input_messages(self, parse, text, message):
         with pytest.raises(FormatError) as exc:
