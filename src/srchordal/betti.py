@@ -80,7 +80,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldSpec:
     """Coefficient field: characteristic 0 (exact rationals) or GF(p)."""
 
@@ -221,7 +221,7 @@ def reduced_homology_dims(cx: SimplicialComplex, field: FieldSpec = GF2) -> dict
     return _ChainComplex.of_complex(cx, field).reduced_homology(cx.ambient)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BettiTable:
     """Graded Betti numbers; zero entries are absent from `entries`."""
 

@@ -41,7 +41,7 @@ KIND_SIMPLICIAL_ORDER = "simplicial_order"
 _SEARCH_NAMES = {KIND_COLLAPSE: "collapsing", KIND_SIMPLICIAL_ORDER: "simplicial-order"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeSequence:
     """A replayable certificate: an ordered list of faces to delete.
 

@@ -14,6 +14,7 @@ Conventions that matter everywhere downstream:
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .bitsets import (
@@ -42,15 +43,19 @@ def as_mask(face) -> int:
     return mask_from_vertices(face)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class SimplicialComplex:
     """A simplicial complex determined by its facet antichain.
 
     `facets` is a sorted tuple of masks with no facet contained in
     another. `ambient` is the mask of the vertex universe the complex
-    lives on; `n` bounds the labels (1..n, n <= 64).
+    lives on; `n` bounds the labels (1..n, n <= 64) and takes no part in
+    equality or hashing.
     """
 
-    __slots__ = ("n", "ambient", "facets")
+    n: int = field(compare=False)
+    ambient: int
+    facets: tuple[int, ...]
 
     def __init__(self, n: int, facets: Iterable = (), *, ambient: int | None = None):
         if not 1 <= n <= MAX_VERTICES:
@@ -69,9 +74,6 @@ class SimplicialComplex:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ambient", amb)
         object.__setattr__(self, "facets", maximal_elements(masks))
-
-    def __setattr__(self, *_):
-        raise AttributeError("SimplicialComplex is immutable")
 
     @classmethod
     def _raw(cls, n: int, ambient: int, facets: tuple[int, ...]) -> "SimplicialComplex":
@@ -217,14 +219,6 @@ class SimplicialComplex:
         return minimal_transversals(self.ambient & ~f for f in self.facets)
 
     # -- value semantics / serialization ---------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SimplicialComplex):
-            return NotImplemented
-        return self.ambient == other.ambient and self.facets == other.facets
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.facets))
 
     def __repr__(self) -> str:
         if self.is_void:

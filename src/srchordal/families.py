@@ -134,7 +134,7 @@ def is_vertex_decomposable(cx: SimplicialComplex) -> bool:
     return rec(cx)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GotzmannDecomposition:
     """Nested-block form m1(Z1) + m1m2(Z2) + ... + m1···ms(Zs).
 

@@ -10,6 +10,7 @@ square-free operator and its strongly stable inputs.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from typing import Iterable
 
 from .bitsets import (
@@ -28,6 +29,7 @@ from .errors import (
 )
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class SquarefreeIdeal:
     """Minimal square-free generating set over variables x1..xn.
 
@@ -37,7 +39,8 @@ class SquarefreeIdeal:
     empty support is rejected).
     """
 
-    __slots__ = ("n", "gens")
+    n: int
+    gens: tuple[int, ...]
 
     def __init__(self, n: int, gens: Iterable = ()):
         if not 1 <= n <= MAX_VERTICES:
@@ -56,9 +59,6 @@ class SquarefreeIdeal:
         reduced = sorted(minimal_elements(masks), key=lambda m: (m.bit_count(), m))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gens", tuple(reduced))
-
-    def __setattr__(self, *_):
-        raise AttributeError("SquarefreeIdeal is immutable")
 
     @classmethod
     def zero(cls, n: int) -> "SquarefreeIdeal":
@@ -90,14 +90,6 @@ class SquarefreeIdeal:
         """The ideal I + (x_E), with the generating set re-minimized."""
         m = as_mask(monomial)
         return SquarefreeIdeal(self.n, self.gens + (m,))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SquarefreeIdeal):
-            return NotImplemented
-        return self.n == other.n and self.gens == other.gens
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.gens))
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -153,19 +145,17 @@ def truncation_leq(ideal: SquarefreeIdeal, k: int) -> SquarefreeIdeal:
 # -- general monomials and the square-free operator ----------------------
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Monomial:
     """A monomial as an exponent tuple of fixed length n."""
 
-    __slots__ = ("exponents",)
+    exponents: tuple[int, ...]
 
     def __init__(self, exponents: Iterable[int]):
         exps = tuple(int(e) for e in exponents)
         if any(e < 0 for e in exps):
             raise ValueError("exponents must be nonnegative")
         object.__setattr__(self, "exponents", exps)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Monomial is immutable")
 
     @property
     def degree(self) -> int:
@@ -188,14 +178,6 @@ class Monomial:
             out.extend([i] * e)
         return tuple(out)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self.exponents == other.exponents
-
-    def __hash__(self) -> int:
-        return hash(self.exponents)
-
     def __repr__(self) -> str:
         parts = [
             f"x{i}" if e == 1 else f"x{i}^{e}"
@@ -205,10 +187,12 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class MonomialIdeal:
     """Monomial ideal given by its minimal generators (exponent tuples)."""
 
-    __slots__ = ("n", "gens")
+    n: int
+    gens: tuple[Monomial, ...]
 
     def __init__(self, n: int, gens: Iterable[Monomial] = ()):
         if not 1 <= n <= MAX_VERTICES:
@@ -230,9 +214,6 @@ class MonomialIdeal:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gens", tuple(kept))
 
-    def __setattr__(self, *_):
-        raise AttributeError("MonomialIdeal is immutable")
-
     @property
     def is_zero(self) -> bool:
         return not self.gens
@@ -244,14 +225,6 @@ class MonomialIdeal:
 
     def contains(self, monomial: Monomial) -> bool:
         return any(g.divides(monomial) for g in self.gens)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MonomialIdeal):
-            return NotImplemented
-        return self.n == other.n and self.gens == other.gens
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.gens))
 
     def __repr__(self) -> str:
         return f"MonomialIdeal(n={self.n}, ({', '.join(map(repr, self.gens))}))"
@@ -280,8 +253,8 @@ def squarefree_operator(ideal: MonomialIdeal) -> SquarefreeIdeal:
 
 # -- text format ---------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
-_HEADER_RE = re.compile(r"^n\s*=\s*(\d+)$")
+_TOKEN_RE = re.compile(r"^x([0-9]+)(?:\^([0-9]+))?$")
+_HEADER_RE = re.compile(r"^n\s*=\s*([0-9]+)$")
 
 
 def _bounded(digits: str, lineno: int, what: str) -> int:

@@ -667,6 +667,17 @@ class TestPaperProperties:
             cx = random_complex(rng, 6)
             brute = all(is_d_chordal(cx, d) for d in range(1, cx.n + 1))
             assert is_chordal(cx) == brute
+        # 51 of the 80 complexes above are the full simplex and none is
+        # non-chordal, so draw complexes of edges and triangles too (14 of
+        # these 80 are non-chordal)
+        rng = random.Random(321)
+        verdicts = set()
+        for _ in range(80):
+            cx = random_small_facet_complex(rng, 4, 7)
+            brute = all(is_d_chordal(cx, d) for d in range(1, cx.n + 1))
+            assert is_chordal(cx) == brute
+            verdicts.add(brute)
+        assert verdicts == {False, True}
 
     def test_heredity_of_chordality(self):
         rng = random.Random(312)
@@ -681,6 +692,21 @@ class TestPaperProperties:
             if sub.is_void:
                 continue
             assert is_chordal(sub)
+        # 30 of the 40 complexes above are the full simplex, whose induced
+        # subcomplexes are simplices; complexes of edges and triangles give
+        # induced subcomplexes that are not (19 of these 40 draws)
+        rng = random.Random(322)
+        not_simplices = 0
+        for _ in range(40):
+            cx = random_small_facet_complex(rng, 4, 7)
+            if not is_chordal(cx):
+                continue
+            sub = cx.induced(rng.randint(0, cx.ambient) & cx.ambient)
+            if sub.is_void:
+                continue
+            assert is_chordal(sub)
+            not_simplices += sub.facets != (sub.ambient,)
+        assert not_simplices >= 15
 
     def test_free_face_promotion(self):
         # a free (d-1)-face of the complex stays simplicial in the closure

@@ -286,13 +286,22 @@ class TestExitStatus:
             ("sigma", "n=2\nx3^2\n", "variable x3 exceeds the declared n=2"),
             ("betti", "x2\nx1^2*x3\n", "exponent on x1: input must be square-free"),
             ("betti", "x2 x3 x2\n", "repeated variable x2: input must be square-free"),
+            # Arabic-Indic digits: int() reads them, the format does not
+            ("betti", "n=\u0663\nx\u0661 x\u0662\n", "line 1: bad monomial token 'n=\u0663'"),
+            ("sigma", "n=\u0663\nx\u0661 x\u0662\n", "line 1: bad monomial token 'n=\u0663'"),
+            ("betti", "x\u0661 x2\n", "line 1: bad monomial token 'x\u0661'"),
+            ("sigma", "x\u0661 x2\n", "line 1: bad monomial token 'x\u0661'"),
+            ("betti", "x1^\u0662 x2\n", "line 1: bad monomial token 'x1^\u0662'"),
+            ("sigma", "x1^\u0662 x2\n", "line 1: bad monomial token 'x1^\u0662'"),
         ],
         ids=["infer_squarefree", "infer_monomial", "exceeds_squarefree", "exceeds_monomial",
-             "exponent", "repeated"],
+             "exponent", "repeated", "arabic_header_betti", "arabic_header_sigma",
+             "arabic_variable_betti", "arabic_variable_sigma", "arabic_exponent_betti",
+             "arabic_exponent_sigma"],
     )
     def test_whole_input_ideal_errors(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "ideal.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         code = main([command, str(path)])
         captured = capsys.readouterr()
         assert code == EXIT_INPUT

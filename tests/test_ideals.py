@@ -216,11 +216,23 @@ class TestTextFormat:
             (parse_monomial_ideal, "n=3\nx1\nn=4\n", "line 3: duplicate n= header"),
             (parse_squarefree_ideal, "x1\n*\n", "line 2: empty monomial"),
             (parse_monomial_ideal, "x1\n*\n", "line 2: empty monomial"),
+            # digits of other scripts (here Arabic-Indic) are not digits of the format
+            (parse_squarefree_ideal, "n=\u0663\nx\u0661 x\u0662\n",
+             "line 1: bad monomial token 'n=\u0663'"),
+            (parse_monomial_ideal, "n=\u0663\nx\u0661 x\u0662\n",
+             "line 1: bad monomial token 'n=\u0663'"),
+            (parse_squarefree_ideal, "x\u0661 x2\n", "line 1: bad monomial token 'x\u0661'"),
+            (parse_monomial_ideal, "x\u0661 x2\n", "line 1: bad monomial token 'x\u0661'"),
+            (parse_squarefree_ideal, "x1^\u0662 x2\n",
+             "line 1: bad monomial token 'x1^\u0662'"),
+            (parse_monomial_ideal, "x1^\u0662 x2\n", "line 1: bad monomial token 'x1^\u0662'"),
         ],
         ids=["infer_squarefree", "infer_monomial", "exceeds_squarefree", "exceeds_monomial",
              "exponent", "repeated", "zero_exponent_squarefree", "zero_exponent_monomial",
              "second_header_squarefree", "second_header_monomial", "lone_star_squarefree",
-             "lone_star_monomial"],
+             "lone_star_monomial", "arabic_header_squarefree", "arabic_header_monomial",
+             "arabic_variable_squarefree", "arabic_variable_monomial",
+             "arabic_exponent_squarefree", "arabic_exponent_monomial"],
     )
     def test_whole_input_messages(self, parse, text, message):
         with pytest.raises(FormatError) as exc:
