@@ -40,6 +40,19 @@ each such vertex, none of them inside any W. `reduced_homology_dims`
 lists a whole complex from its facets and takes the restriction at its
 ambient set.
 
+Over the rationals the walk ranks every boundary map mod 2 first, and
+ranks a map over Q only where GF(2) leaves its rank open. This is the
+universal coefficient theorem read through ranks. The GF(2) boundary
+rows are the integer rows mod 2, and a minor that is nonzero mod 2 is a
+nonzero integer, so rank_Q ≥ rank_GF(2) for every map, and the reduced
+homology over Q is no larger than over GF(2) in every degree. At a size
+s with no GF(2) homology, c_s - r_s - r_{s+1} = 0 over both fields (c_s
+faces of size s, r_s the rank of the map leaving size s), and neither
+rank can have grown over Q. So only a map whose source and target sizes
+both carry GF(2) homology needs a rank over Q; that takes 2-torsion, as
+in the real projective plane. Over GF(p), p odd, every rank is taken
+mod p.
+
 Unit anchors for the conventions: the ideal (x1) in one variable has
 the single entry (0, 1) -> 1, and (x1*x2) in two variables has
 (0, 2) -> 1.
@@ -119,23 +132,36 @@ class _ChainComplex:
     """The reduced chain complex of a complex, listed face by face and
     restricted to any vertex set.
 
-    `faces[k]` holds the listed faces with k + 1 vertices and `rows[k]`
-    their boundary rows over the faces one size smaller, whose columns
-    number those faces in the order they were listed, one numbering per
-    size: bitmask rows over GF(2), sparse dicts {column: ±1} otherwise.
-    A face is listed after its boundary, and a listed face keeps its row
-    and column, so the complex can grow a vertex at a time. The
-    restriction to W keeps the faces inside W and their rows. The
-    boundary of a face inside W lies inside W, so the columns of the
-    faces left out are zero in every kept row.
+    `faces[k]` holds the listed faces with k + 1 vertices. Their
+    boundary rows over the faces one size smaller number those faces in
+    the order they were listed, one numbering per size. `bits[k]` holds
+    them as bitmask rows over GF(2), kept over GF(2) and over the
+    rationals; `signed[k]` as sparse dicts {column: ±1}, kept over every
+    field but GF(2). A face is listed after its boundary, and a listed
+    face keeps its rows and column, so the complex can grow a vertex at
+    a time. The restriction to W keeps the faces inside W and their
+    rows. The boundary of a face inside W lies inside W, so the columns
+    of the faces left out are zero in every kept row.
+
+    Over the rationals `reduced_homology` ranks the bit rows first, and
+    this is exact. The bit rows are the signed rows mod 2, and a minor
+    that is nonzero mod 2 is a nonzero integer, so each boundary map has
+    rank over Q at least its rank over GF(2). With c_s faces of size s
+    inside W and r_s the rank of the map leaving size s, the homology
+    c_s - r_s - r_{s+1} at size s is then no larger over Q than over
+    GF(2). Where it is zero over GF(2) it is zero over Q, so neither rank
+    next to s grew. A map can have a larger rank over Q only if its
+    source size and its target size both carry GF(2) homology, as with
+    the 2-torsion of RP^2, and only such maps get `int_rank`.
     """
 
-    __slots__ = ("characteristic", "faces", "rows", "columns")
+    __slots__ = ("characteristic", "faces", "bits", "signed", "columns")
 
     def __init__(self, field: FieldSpec):
         self.characteristic = field.characteristic
         self.faces: list[list[int]] = []
-        self.rows: list[list] = []
+        self.bits: list[list[int]] = []
+        self.signed: list[list[dict[int, int]]] = []
         self.columns: list[dict[int, int]] = [{0: 0}]  # by size; the empty face first
 
     @classmethod
@@ -149,27 +175,31 @@ class _ChainComplex:
         """List faces with k + 1 vertices, whose boundary faces are listed."""
         if k == len(self.faces):
             self.faces.append([])
-            self.rows.append([])
+            self.bits.append([])
+            self.signed.append([])
             self.columns.append({})
         index = self.columns[k]
         column = self.columns[k + 1]
         listed = self.faces[k]
-        rows = self.rows[k]
-        two = self.characteristic == 2
+        bits = self.bits[k]
+        signed = self.signed[k]
+        keep_bits = self.characteristic in (0, 2)
+        keep_signed = self.characteristic != 2
         for face in faces:
-            if two:
+            if keep_bits:
                 vec = 0
                 for v in iter_vertices(face):
                     vec |= 1 << index[face & ~(1 << (v - 1))]
-            else:
-                vec = {}
+                bits.append(vec)
+            if keep_signed:
+                row = {}
                 sign = 1
                 for v in iter_vertices(face):
-                    vec[index[face & ~(1 << (v - 1))]] = sign
+                    row[index[face & ~(1 << (v - 1))]] = sign
                     sign = -sign
+                signed.append(row)
             column[face] = len(listed)
             listed.append(face)
-            rows.append(vec)
 
     def add_vertex(self, v: int, links: list[int]) -> None:
         """List the faces that vertex v adds to a complex whose faces are
@@ -187,28 +217,32 @@ class _ChainComplex:
             self._list(k, new)
             k += 1
 
-    def _rank(self, rows: list) -> int:
-        p = self.characteristic
-        if p == 2:
-            return gf2_rank(rows)
-        if p == 0:
-            return int_rank(rows)
-        return gfp_rank(rows, p)
-
     def reduced_homology(self, w: int) -> dict[int, int]:
         """Reduced homology dimensions of the restriction to W, in each
         degree from -1 to the dimension of the restriction."""
         outside = ~w
+        p = self.characteristic
+        mod2 = p in (0, 2)
         counts = [1]  # faces inside W by size; the empty face is always there
         ranks = [0]  # ranks of the boundary maps by size of the faces mapped
-        for faces, rows in zip(self.faces, self.rows):
+        for faces, rows in zip(self.faces, self.bits if mod2 else self.signed):
             inside = [row for face, row in zip(faces, rows) if not face & outside]
             if not inside:
                 break
             counts.append(len(inside))
-            ranks.append(self._rank(inside))
+            ranks.append(gf2_rank(inside) if mod2 else gfp_rank(inside, p))
         ranks.append(0)
-        return {k - 1: counts[k] - ranks[k] - ranks[k + 1] for k in range(len(counts))}
+        homology = [counts[s] - ranks[s] - ranks[s + 1] for s in range(len(counts))]
+        if p == 0:
+            for s in range(1, len(counts)):
+                if homology[s - 1] and homology[s]:  # GF(2) homology at both ends
+                    ranks[s] = int_rank([
+                        row
+                        for face, row in zip(self.faces[s - 1], self.signed[s - 1])
+                        if not face & outside
+                    ])
+            homology = [counts[s] - ranks[s] - ranks[s + 1] for s in range(len(counts))]
+        return {s - 1: h for s, h in enumerate(homology)}
 
 
 def reduced_homology_dims(cx: SimplicialComplex, field: FieldSpec = GF2) -> dict[int, int]:

@@ -5,18 +5,20 @@ holds a 1. A GF(p) or rational row is a dict {column: entry} of integer
 entries; absent columns are zero. A boundary row of a face then costs
 as much as the face has vertices, whatever the width of the matrix.
 
-`gfp_rank` and `int_rank` eliminate on the leading (lowest) column: a
-row is reduced against the pivot stored under its leading column until
-it is zero or leads in a column with no pivot yet, where it becomes the
-pivot. `gf2_rank` keeps its pivots in a list, in the order they were
-found, and passes each row once along it, adding every pivot whose
-lowest bit the row holds at that point. This is exact because each
-pivot's lowest bit is clear in every later pivot, which was reduced the
-same way before it was kept: after a pivot's turn the row lacks that
-pivot's lowest bit, and no later addition sets it again. A row left
-nonzero thus holds no pivot's lowest bit and becomes a pivot with a
-lowest bit of its own. In every routine the pivots lead in distinct
-columns, so they are independent, and their count is the rank.
+Every routine eliminates on the leading (lowest) column: a row is
+reduced against the pivot stored under its leading column until it is
+zero or leads in a column with no pivot yet, where it becomes the pivot.
+`gf2_rank` keys its pivots by their lowest set bit and XORs into a row
+the pivot under the row's own lowest bit. Both hold that bit and
+neither holds a lower one, so the XOR clears it and sets none below it:
+each step strictly raises the row's lowest bit, and a row meets only
+the pivots it must add, not every pivot found before it. `gfp_rank` and
+`int_rank` key dict rows by their least column in the same way. In
+every routine the pivots lead in distinct columns, so they are
+independent: in any nonzero combination of them, the least of their
+leading columns is held by one pivot alone, since the others are zero
+below their own leading columns. Every row reduced to zero lies in
+their span, so their count is the rank.
 
 No floating point anywhere; Betti numbers are integers over a fixed
 field and must be computed exactly. Over the rationals the updates are
@@ -37,18 +39,24 @@ from math import gcd
 
 
 def gf2_rank(rows: list[int]) -> int:
-    """Rank over GF(2) of rows given as bitmask ints."""
-    pivots: list[int] = []
-    rank = 0
+    """Rank over GF(2) of rows given as bitmask ints.
+
+    Pivots are kept under their lowest set bit. Each row XORs in the
+    pivot under its own lowest bit, which raises that bit, until the row
+    is zero or its lowest bit has no pivot, where it becomes one. The
+    pivots have distinct lowest bits, so they are independent, and every
+    row lies in their span: the rank is exact.
+    """
+    pivots: dict[int, int] = {}
     for row in rows:
-        for p in pivots:
-            low = p & -p
-            if row & low:
-                row ^= p
-        if row:
-            pivots.append(row)
-            rank += 1
-    return rank
+        while row:
+            low = row & -row
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = row
+                break
+            row ^= pivot
+    return len(pivots)
 
 
 def gfp_rank(rows: list[dict[int, int]], p: int) -> int:

@@ -1,10 +1,16 @@
-"""Shared golden inputs: the worked 5-vertex complex, the 8-vertex
-dunce-hat triangulation (boundary identified 1-3-2-1 on all three
-sides), the 7-vertex square-with-diamond complex whose 2-closure
-has a unique non-facet simplicial face {1,2}, and a 10-vertex complex
-whose 2-closure is small but whose simplicial-order search is wide."""
+"""Shared golden inputs: the worked 5-vertex complex, the minimal
+6-vertex real projective plane, the 8-vertex dunce-hat triangulation
+(boundary identified 1-3-2-1 on all three sides), the 7-vertex
+square-with-diamond complex whose 2-closure has a unique non-facet
+simplicial face {1,2}, and a 10-vertex complex whose 2-closure is
+small but whose simplicial-order search is wide."""
 
 EX0_FACETS = [[2, 5], [1, 4, 5], [1, 2, 3, 4]]
+
+RP2_FACETS = [
+    [1, 2, 4], [1, 3, 4], [1, 2, 6], [1, 3, 5], [1, 5, 6],
+    [2, 3, 5], [2, 4, 5], [2, 3, 6], [3, 4, 6], [4, 5, 6],
+]
 
 HOLLOW_TETRA_FACETS = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]
 

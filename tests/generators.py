@@ -15,6 +15,7 @@ from srchordal import (
     d_closure,
 )
 from srchordal.bitsets import iter_vertices, mask_from_vertices, vertices_from_mask
+from data import RP2_FACETS
 
 
 def random_complex(
@@ -70,6 +71,18 @@ def plant_hole(rng: random.Random, cx: SimplicialComplex, d: int) -> SimplicialC
         vs = rng.sample(range(1, cx.n + 1), 6)
         hole = [(x, y, z) for x in vs[0:2] for y in vs[2:4] for z in vs[4:6]]
     return SimplicialComplex.from_facets(cx.n, cx.facets + tuple(map(mask_from_vertices, hole)))
+
+
+def random_rp2_extension(rng: random.Random, n: int) -> SimplicialComplex:
+    """The 6-vertex RP^2 on vertices 1..6 with 1..4 random extra facets
+    on n >= 7 vertices. Each joins some vertices above 6 to a face of
+    RP^2, so the restriction to 1..6 is still RP^2, whose 2-torsion the
+    Betti table of the Stanley-Reisner ideal then shows over GF(2) alone."""
+    extra = []
+    for _ in range(rng.randint(1, 4)):
+        top = rng.sample(range(7, n + 1), rng.randint(1, n - 6))
+        extra.append(top + rng.sample(rng.choice(RP2_FACETS), rng.randint(0, 3)))
+    return SimplicialComplex.from_facets(n, RP2_FACETS + extra)
 
 
 def random_ideal(rng: random.Random, max_n: int, *, min_n: int = 2) -> SquarefreeIdeal:

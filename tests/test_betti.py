@@ -33,17 +33,40 @@ from srchordal import (
     stanley_reisner_ideal,
     truncation_leq,
 )
-from data import DUNCE_HAT_FACETS, EX0_FACETS
+from srchordal.bitsets import iter_vertices
+from data import DUNCE_HAT_FACETS, EX0_FACETS, RP2_FACETS
 from generators import (
     random_complex,
     random_free_face_instance,
     random_ideal,
     random_proper_complex,
+    random_rp2_extension,
     random_small_facet_complex,
 )
+from oracles import koszul_betti_squarefree, rational_rank
 
 EX0 = SimplicialComplex.from_facets(5, EX0_FACETS)
 BOTH_FIELDS = (GF2, CHAR0)
+
+
+def rational_homology(cx: SimplicialComplex) -> dict[int, int]:
+    """Reduced homology over Q from dense boundary matrices and the
+    oracle's rank, degree by degree."""
+    counts, ranks = [1], [0]
+    lower = {0: 0}
+    for k in range(cx.dim + 1):
+        faces = cx.faces_of_dim(k)
+        rows = []
+        for face in faces:
+            row = [0] * len(lower)
+            for i, v in enumerate(iter_vertices(face)):
+                row[lower[face & ~(1 << (v - 1))]] = (-1) ** i
+            rows.append(row)
+        counts.append(len(faces))
+        ranks.append(rational_rank(rows))
+        lower = {f: i for i, f in enumerate(faces)}
+    ranks.append(0)
+    return {k - 1: counts[k] - ranks[k] - ranks[k + 1] for k in range(len(counts))}
 
 
 class TestFieldSpec:
@@ -99,18 +122,39 @@ class TestReducedHomology:
 
     def test_rp2_distinguishes_characteristic(self):
         # minimal 6-vertex real projective plane: torsion shows up only mod 2
-        rp2 = SimplicialComplex.from_facets(
-            6,
-            [
-                [1, 2, 4], [1, 3, 4], [1, 2, 6], [1, 3, 5], [1, 5, 6],
-                [2, 3, 5], [2, 4, 5], [2, 3, 6], [3, 4, 6], [4, 5, 6],
-            ],
-        )
+        rp2 = SimplicialComplex.from_facets(6, RP2_FACETS)
         assert reduced_homology_dims(rp2, GF2)[1] == 1
         assert reduced_homology_dims(rp2, GF2)[2] == 1
         assert reduced_homology_dims(rp2, CHAR0)[1] == 0
         assert reduced_homology_dims(rp2, CHAR0)[2] == 0
         assert reduced_homology_dims(rp2, FieldSpec(3))[1] == 0
+
+    def test_rp2_torsion_inside_larger_complexes(self, monkeypatch):
+        # Over Q the ranks are taken mod 2 except on maps between sizes that
+        # both carry GF(2) homology, which 2-torsion gives. RP^2 induced on
+        # 1..6 of 7-8 vertices puts it in every Betti table here, so the
+        # tables over GF(2) and Q differ and int_rank must run.
+        import srchordal.betti
+
+        real = srchordal.betti.int_rank
+        calls = []
+
+        def counting(rows):
+            calls.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(srchordal.betti, "int_rank", counting)
+        rng = random.Random(412)
+        differ = 0
+        for k in range(8):
+            cx = random_rp2_extension(rng, 7 + k % 2)
+            assert reduced_homology_dims(cx, CHAR0) == rational_homology(cx)
+            differ += reduced_homology_dims(cx, GF2) != reduced_homology_dims(cx, CHAR0)
+            ideal = stanley_reisner_ideal(cx)
+            table = betti_table(ideal, CHAR0)
+            assert table.as_dict() == koszul_betti_squarefree(ideal, 0)
+            assert table.as_dict() != betti_table(ideal, GF2).as_dict()
+        assert differ > 0 and calls
 
     def test_euler_consistency_random(self):
         def check(cx, field):
@@ -175,8 +219,6 @@ class TestBettiTable:
         # table off complexes on at most 5 vertices, whose integral homology
         # is torsion-free (the 6-vertex RP^2 is the smallest with torsion),
         # so the GF(2) table must agree as well.
-        from oracles import koszul_betti_squarefree
-
         rng = random.Random(403)
         for _ in range(60):
             ideal = random_ideal(rng, 5)
@@ -268,8 +310,6 @@ class TestBettiTable:
         )
 
     def test_gf3_agrees_with_koszul_oracle(self):
-        from oracles import koszul_betti_squarefree
-
         rng = random.Random(411)
         for _ in range(40):
             ideal = random_ideal(rng, 5)

@@ -101,6 +101,17 @@ class TestDClosure:
             assert closed == brute_d_closure(cx, d)
             grew.append(closed != cx)
         assert 0 < sum(grew) < len(grew)  # 280 of 300 at this seed
+        # as many draws as the random_complex ones, with their values of d,
+        # from a second seed: 34 of those 120 are not the full simplex, and
+        # 90 of these 120 are not
+        rng = random.Random(323)
+        proper = 0
+        for _ in range(120):
+            cx = random_small_facet_complex(rng, 3, 6)
+            d = rng.randint(1, 4)
+            assert d_closure(cx, d) == brute_d_closure(cx, d)
+            proper += cx.facets != (cx.ambient,)
+        assert proper >= 80
 
     @pytest.mark.parametrize(
         "cx, d",
@@ -660,6 +671,20 @@ class TestPaperProperties:
                 continue
             for t in range(d, 5):
                 assert is_d_chordal(cx, t)
+        # only 16 of the 59 d-collapsible complexes above are not the full
+        # simplex; as many draws of edges and triangles from a second seed
+        # give 51 d-collapsible complexes, 37 of them not the simplex
+        rng = random.Random(324)
+        proper = 0
+        for _ in range(60):
+            cx = random_small_facet_complex(rng, 3, 5)
+            d = rng.randint(1, 3)
+            if is_d_collapsible(cx, d) is None:
+                continue
+            for t in range(d, 5):
+                assert is_d_chordal(cx, t)
+            proper += cx.facets != (cx.ambient,)
+        assert proper >= 25
 
     def test_bounds_reduction_matches_bruteforce(self):
         rng = random.Random(311)

@@ -6,12 +6,8 @@ import pytest
 
 from srchordal.bitsets import iter_vertices
 from srchordal.linalg import gf2_rank, gfp_rank, int_rank
+from data import RP2_FACETS
 from oracles import modular_rank, rational_rank
-
-RP2_FACETS = [
-    [1, 2, 4], [1, 3, 4], [1, 2, 6], [1, 3, 5], [1, 5, 6],
-    [2, 3, 5], [2, 4, 5], [2, 3, 6], [3, 4, 6], [4, 5, 6],
-]
 
 
 def sparse(dense):
@@ -77,6 +73,33 @@ class TestSparseRanks:
             for p in (2, 3, 5, 7):
                 assert gfp_rank(rows, p) == modular_rank(dense, p), (dense, p)
             assert gf2_rank(bitmask(dense)) == modular_rank(dense, 2), dense
+
+    def test_gf2_wide_sparse_rows_in_any_order(self):
+        # Boundary rows number their columns across a whole size of faces,
+        # so a few set bits lie far past 64. Duplicate and zero rows, and
+        # sums of earlier rows, must not add to the rank in any order.
+        rng = random.Random(614)
+        for _ in range(150):
+            ncols = rng.randint(65, 400)
+            columns = rng.sample(range(ncols), rng.randint(1, 12))
+            rows = []
+            for _ in range(rng.randint(1, 16)):
+                roll = rng.random()
+                if rows and roll < 0.15:
+                    rows.append(rng.choice(rows))
+                elif len(rows) > 1 and roll < 0.3:
+                    a, b = rng.sample(rows, 2)
+                    rows.append(a ^ b)
+                elif roll < 0.4:
+                    rows.append(0)
+                else:
+                    k = rng.randint(1, min(4, len(columns)))
+                    rows.append(sum(1 << c for c in rng.sample(columns, k)))
+            dense = [[row >> c & 1 for c in range(ncols)] for row in rows]
+            expected = modular_rank(dense, 2)
+            for _ in range(3):
+                rng.shuffle(rows)
+                assert gf2_rank(rows) == expected, rows
 
     def test_inputs_are_not_modified(self):
         rows = [{0: 2, 1: 4}, {0: 3, 2: 1}, {1: 6, 2: 9}]
