@@ -53,6 +53,15 @@ both carry GF(2) homology needs a rank over Q; that takes 2-torsion, as
 in the real projective plane. Over GF(p), p odd, every rank is taken
 mod p.
 
+The same bound, degree by degree, spares char 0 most of its walks. By
+Hochster's formula each Betti number over Q is at most the one over
+GF(2), so a resolution that is linear over GF(2) is linear over Q, and
+an ideal that is componentwise linear over GF(2) is so over Q.
+`linear_by_field` therefore takes a GF(2) "linear" for char 0 as well,
+and walks char 0 only after a GF(2) "not linear", which 2-torsion can
+give on its own. No such bound ties GF(2) to an odd p, so GF(p) always
+gets its own walk, and `betti_table` walks each field it is asked for.
+
 Unit anchors for the conventions: the ideal (x1) in one variable has
 the single entry (0, 1) -> 1, and (x1*x2) in two variables has
 (0, 2) -> 1.
@@ -62,7 +71,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .bitsets import iter_vertices
 from .complexes import SimplicialComplex
@@ -445,6 +454,33 @@ def is_componentwise_linear(
         if not has_linear_resolution(comp, field, budget=budget):
             return False
     return True
+
+
+def linear_by_field(
+    test: Callable[..., bool],
+    ideal: SquarefreeIdeal,
+    fields: Iterable[FieldSpec],
+    *,
+    budget: int = DEFAULT_BUDGET,
+) -> dict[str, bool]:
+    """{field label: test(ideal, field)} for `test` either
+    `has_linear_resolution` or `is_componentwise_linear`, in the order of
+    `fields`, with char 0 taken from a GF(2) "linear" listed before it.
+
+    Every Betti number over Q is at most the one over GF(2) (Hochster's
+    formula and the rank bound of `_ChainComplex`), so a resolution that
+    is linear over GF(2) is linear over Q, and so is each degree
+    component. A GF(2) "not linear" decides nothing over Q: 2-torsion, as
+    in RP^2, gives GF(2) entries that Q lacks, so char 0 then gets its own
+    walk, and so does every odd p.
+    """
+    verdicts: dict[str, bool] = {}
+    for field in fields:
+        if field == CHAR0 and verdicts.get(GF2.label):
+            verdicts[field.label] = True
+        else:
+            verdicts[field.label] = test(ideal, field, budget=budget)
+    return verdicts
 
 
 def regularity(table: BettiTable) -> int:

@@ -30,7 +30,15 @@ import random
 import sys
 
 from . import __version__
-from .betti import CHAR0, GF2, FieldSpec, betti_table, has_linear_resolution, is_componentwise_linear
+from .betti import (
+    CHAR0,
+    GF2,
+    FieldSpec,
+    betti_table,
+    has_linear_resolution,
+    is_componentwise_linear,
+    linear_by_field,
+)
 from .chordality import (
     DEFAULT_BUDGET,
     FreeSequence,
@@ -120,7 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     field = argparse.ArgumentParser(add_help=False)
     field.add_argument(
-        "--field", default="gf2", help="coefficient field: gf2 (default), gfp:P, char0, or both"
+        "--field",
+        default="gf2",
+        help="coefficient field: gf2 (default), gfp:P, char0, or both (gf2 and char0); "
+        "with both, linres and cwl take a gf2 \"linear\" for char0 too, without a second "
+        "walk, since no Betti number over char0 exceeds the one over gf2",
     )
 
     # each subcommand declares only the options its runner reads
@@ -240,20 +252,18 @@ def _run_linres(args) -> _Result:
         raise SRChordalError(
             f"ideal is generated in degrees {sorted(degs)}, not equigenerated in {args.d}"
         )
-    results = {
-        f.label: has_linear_resolution(ideal, f, budget=args.budget)
-        for f in _fields_for(args.field)
-    }
+    results = linear_by_field(
+        has_linear_resolution, ideal, _fields_for(args.field), budget=args.budget
+    )
     payload = {"d": args.d, "linear_resolution": results}
     return all(results.values()), payload, f"{args.d}-linear resolution: {results}"
 
 
 def _run_cwl(args) -> _Result:
     ideal = parse_squarefree_ideal(_read_input(args.input))
-    results = {
-        f.label: is_componentwise_linear(ideal, f, budget=args.budget)
-        for f in _fields_for(args.field)
-    }
+    results = linear_by_field(
+        is_componentwise_linear, ideal, _fields_for(args.field), budget=args.budget
+    )
     payload = {"componentwise_linear": results}
     return all(results.values()), payload, f"componentwise linear: {results}"
 
@@ -325,7 +335,14 @@ def _run_experiment(args) -> _Result:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # parse_args would name the leftovers, and with `dual --budget 5 FILE`
+    # those are --budget and FILE, since 5 was taken as the input path
+    args, extras = parser.parse_known_args(argv)
+    options = [a.split("=", 1)[0] for a in extras if a.startswith("-") and a != "-"]
+    if options:
+        parser.error(f"{args.command} does not take {' '.join(options)}")
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     if args.command == "experiment" and args.max_n < max(args.d + 1, 3):
         # trials draw n from max(d+1, 3)..max_n
         parser.error(f"experiment q2 needs --max-n >= {max(args.d + 1, 3)} for --d {args.d}")

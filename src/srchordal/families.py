@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .betti import CHAR0, GF2, is_componentwise_linear
+from .betti import CHAR0, GF2, is_componentwise_linear, linear_by_field
 from .bitsets import iter_vertices
 from .chordality import DEFAULT_BUDGET, is_chordal
 from .complexes import SimplicialComplex
@@ -236,7 +236,10 @@ def classify(ideal: SquarefreeIdeal, *, budget: int = DEFAULT_BUDGET) -> dict:
     dual of the ideal's complex, where they sit in the chain (dual
     shifted <=> strongly stable => stable => chordal complex, and dual
     vertex decomposable => chordal complex => componentwise linear).
-    Componentwise linearity is reported over GF(2) and char 0.
+    Componentwise linearity is reported over GF(2) and char 0, and char
+    0 takes a GF(2) "true" without a walk of its own: every Betti number
+    over Q is at most the one over GF(2) (see `linear_by_field`), so
+    only an ideal that fails over GF(2) is walked again over Q.
     `budget` bounds each chordality search, each d-closure and each LCM
     lattice of the componentwise linearity check.
 
@@ -256,7 +259,7 @@ def classify(ideal: SquarefreeIdeal, *, budget: int = DEFAULT_BUDGET) -> dict:
         "vertex_decomposable": is_vertex_decomposable(_alexander_dual_of(ideal)),
         "gotzmann": gotzmann_decomposition(ideal) is not None,
         "chordal": is_chordal(cx, budget=budget),
-        "componentwise_linear": {
-            f.label: is_componentwise_linear(ideal, f, budget=budget) for f in _CLASSIFY_FIELDS
-        },
+        "componentwise_linear": linear_by_field(
+            is_componentwise_linear, ideal, _CLASSIFY_FIELDS, budget=budget
+        ),
     }

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from typing import Iterator
 
 from srchordal import (
     Monomial,
@@ -58,6 +59,23 @@ def random_small_facet_complex(
     num = rng.randint(1, 2 * n)
     facets = [rng.sample(range(1, n + 1), rng.randint(2, 3)) for _ in range(num)]
     return SimplicialComplex.from_facets(n, facets)
+
+
+def complex_draws(
+    seed: int, second_seed: int, count: int, max_n: int, *, allow_void: bool = False
+) -> Iterator[tuple[random.Random, SimplicialComplex]]:
+    """`count` draws of `random_complex` from `seed`, which is often the
+    full simplex, then `count` draws of `random_small_facet_complex` on
+    4..max_n vertices, which never is, from `second_seed`; each with the
+    Random it came from. The draws are lazy, so a caller that draws more
+    from that Random between two complexes gets from `seed` the very
+    draws it got when it drew `random_complex` from `seed` alone."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield rng, random_complex(rng, max_n, allow_void=allow_void)
+    rng = random.Random(second_seed)
+    for _ in range(count):
+        yield rng, random_small_facet_complex(rng, 4, max_n)
 
 
 def plant_hole(rng: random.Random, cx: SimplicialComplex, d: int) -> SimplicialComplex:

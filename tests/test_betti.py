@@ -26,6 +26,7 @@ from srchordal import (
     has_linear_resolution,
     is_componentwise_linear,
     is_d_chordal,
+    linear_by_field,
     nonlinear_witness,
     reduced_homology_dims,
     regularity,
@@ -43,9 +44,10 @@ from generators import (
     random_rp2_extension,
     random_small_facet_complex,
 )
-from oracles import koszul_betti_squarefree, rational_rank
+from oracles import koszul_betti_squarefree, rational_rank, unbounded_componentwise_linear
 
 EX0 = SimplicialComplex.from_facets(5, EX0_FACETS)
+RP2_IDEAL = stanley_reisner_ideal(SimplicialComplex.from_facets(6, RP2_FACETS))
 BOTH_FIELDS = (GF2, CHAR0)
 
 
@@ -440,6 +442,82 @@ class TestComponentwiseLinear:
         ideal = SquarefreeIdeal(n, [[1, 2], [1, 3]])
         assert is_componentwise_linear(ideal, GF2)
         assert checked == [ideal]
+
+
+def single_field_verdicts(test, ideal, fields):
+    return {f.label: test(ideal, f) for f in fields}
+
+
+class TestLinearByField:
+    # Char 0 is read off a GF(2) "linear" and walked only after a GF(2)
+    # "not linear"; every verdict must be the one its own walk gives.
+    FIELDS = [GF2, CHAR0, FieldSpec(3)]
+
+    def test_agrees_with_single_fields_and_oracle(self):
+        rng = random.Random(416)
+        seen = []
+        for k in range(30):
+            n = rng.randint(3, 8)
+            gens = [
+                rng.sample(range(1, n + 1), rng.randint(2, min(3, n)))
+                for _ in range(rng.randint(2, 5))
+            ]
+            ideal = SquarefreeIdeal(n, gens)
+            fields = self.FIELDS if k % 2 else self.FIELDS[::-1]
+            verdicts = linear_by_field(is_componentwise_linear, ideal, fields)
+            assert list(verdicts) == [f.label for f in fields]
+            assert verdicts == single_field_verdicts(is_componentwise_linear, ideal, fields)
+            # char 0 is the verdict the rule may take from GF(2)
+            assert verdicts["char0"] == unbounded_componentwise_linear(ideal, 0), ideal
+            if len(set(ideal.degrees())) == 1:
+                assert linear_by_field(has_linear_resolution, ideal, fields) == (
+                    single_field_verdicts(has_linear_resolution, ideal, fields)
+                )
+            seen.append(verdicts["gf2"])
+        assert 0 < sum(seen) < len(seen)
+
+    def test_rp2_is_linear_over_char0_only(self):
+        # 2-torsion puts RP^2's H̃_1 and H̃_2 in the GF(2) table alone, so a
+        # GF(2) "not linear" must not be copied into char 0
+        expected = {"gf2": False, "char0": True, "gf3": True}
+        for test in (has_linear_resolution, is_componentwise_linear):
+            assert linear_by_field(test, RP2_IDEAL, self.FIELDS) == expected
+        assert unbounded_componentwise_linear(RP2_IDEAL, 0)
+        assert not unbounded_componentwise_linear(RP2_IDEAL, 2)
+
+    def test_rp2_extensions(self):
+        # the oracle runs on the 7-vertex draws only, as it is slow on 8
+        rng = random.Random(417)
+        split = 0
+        for k in range(8):
+            n = 7 + k % 2
+            ideal = stanley_reisner_ideal(random_rp2_extension(rng, n))
+            verdicts = linear_by_field(is_componentwise_linear, ideal, self.FIELDS)
+            assert verdicts == single_field_verdicts(is_componentwise_linear, ideal, self.FIELDS)
+            assert not verdicts["gf2"]
+            if n == 7:
+                assert verdicts["char0"] == unbounded_componentwise_linear(ideal, 0), ideal
+            split += verdicts["char0"]
+        assert 0 < split < 8
+
+    def test_char0_walks_only_after_a_gf2_nonlinear(self, monkeypatch):
+        import srchordal.betti
+
+        real = srchordal.betti.has_linear_resolution
+        checked = []
+
+        def counting(comp, field, **kwargs):
+            checked.append(field)
+            return real(comp, field, **kwargs)
+
+        monkeypatch.setattr(srchordal.betti, "has_linear_resolution", counting)
+        # the components of degrees 2 and 3, walked over GF(2) and GF(3):
+        # no bound ties GF(3) to GF(2)
+        linear_by_field(is_componentwise_linear, stanley_reisner_ideal(EX0), self.FIELDS)
+        assert checked == [GF2, GF2, FieldSpec(3), FieldSpec(3)]
+        checked.clear()
+        linear_by_field(is_componentwise_linear, RP2_IDEAL, [GF2, CHAR0])
+        assert checked == [GF2, CHAR0]
 
 
 class TestTruncationStability:

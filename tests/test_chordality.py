@@ -46,6 +46,7 @@ from data import (
     HOLLOW_TETRA_FACETS,
 )
 from generators import (
+    complex_draws,
     plant_hole,
     random_box_nerve,
     random_complex,
@@ -155,9 +156,7 @@ class TestDClosure:
                 build(big, 2, budget=1000)
 
     def test_idempotent_and_same_d_faces(self):
-        rng = random.Random(302)
-        for _ in range(100):
-            cx = random_complex(rng, 7)
+        for rng, cx in complex_draws(302, 1302, 100, 7):
             d = rng.randint(1, 4)
             closed = d_closure(cx, d)
             assert d_closure(closed, d) == closed
@@ -186,9 +185,7 @@ class TestIsDClosure:
         # in degree d+1 (or it is the full simplex / skeleton)
         from srchordal import stanley_reisner_ideal
 
-        rng = random.Random(303)
-        for _ in range(80):
-            cx = random_complex(rng, 6)
+        for rng, cx in complex_draws(303, 1303, 80, 6):
             d = rng.randint(1, 3)
             closed = d_closure(cx, d)
             ideal = stanley_reisner_ideal(closed)
@@ -207,9 +204,7 @@ class TestFreeFaces:
         assert fmask([1, 5]) in free_faces(d_closure(EX0, 2), 1)
 
     def test_counts_match_definition(self):
-        rng = random.Random(304)
-        for _ in range(100):
-            cx = random_complex(rng, 7)
+        for _, cx in complex_draws(304, 1304, 100, 7):
             if cx.is_void:
                 continue
             got = set(free_faces(cx, cx.dim))
@@ -289,9 +284,7 @@ class TestIsDChordal:
         assert not is_d_chordal(DUNCE, 2)
 
     def test_order_of_the_closure_is_the_searched_order(self):
-        rng = random.Random(707)
-        for _ in range(40):
-            cx = random_complex(rng, 6)
+        for _, cx in complex_draws(707, 1707, 40, 6):
             for d in (1, 2, 3):
                 order = d_chordal_order(cx, d)
                 assert order == find_simplicial_order(d_closure(cx, d), d)
@@ -620,9 +613,7 @@ class TestBoxNerves:
 class TestPaperProperties:
     def test_deletion_commutes_with_closure(self):
         # closing then deleting a (d-1)-face equals deleting then closing
-        rng = random.Random(307)
-        for _ in range(80):
-            cx = random_complex(rng, 6)
+        for rng, cx in complex_draws(307, 1307, 80, 6):
             d = rng.randint(1, 3)
             closure = d_closure(cx, d)
             for e in closure.faces_of_dim(d - 1):
@@ -631,9 +622,7 @@ class TestPaperProperties:
                 assert closure.face_deletion(e) == d_closure(cx.face_deletion(e), d)
 
     def test_closure_commutes_with_induction(self):
-        rng = random.Random(308)
-        for _ in range(80):
-            cx = random_complex(rng, 6)
+        for rng, cx in complex_draws(308, 1308, 80, 6):
             d = rng.randint(1, 3)
             w = rng.randint(0, cx.ambient)
             w &= cx.ambient
@@ -735,9 +724,7 @@ class TestPaperProperties:
 
     def test_free_face_promotion(self):
         # a free (d-1)-face of the complex stays simplicial in the closure
-        rng = random.Random(313)
-        for _ in range(80):
-            cx = random_complex(rng, 6)
+        for rng, cx in complex_draws(313, 1313, 80, 6):
             if cx.is_void:
                 continue
             d = rng.randint(1, 3)
@@ -748,9 +735,7 @@ class TestPaperProperties:
                     assert e in promoted
 
     def test_suitable_d_shortcut(self):
-        rng = random.Random(314)
-        for _ in range(60):
-            cx = random_complex(rng, 6)
+        for _, cx in complex_draws(314, 1314, 60, 6):
             if cx.is_void or cx.facets == (cx.ambient,):
                 continue
             nonfaces = cx.minimal_nonfaces()

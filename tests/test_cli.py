@@ -275,7 +275,9 @@ class TestExitStatus:
         captured = capsys.readouterr()
         assert exc.value.code == 2
         assert captured.out == ""
-        assert "unrecognized arguments: --budget" in captured.err
+        # argparse takes 5 for the input path; only the option is named
+        assert f"error: {argv[0]} does not take --budget\n" in captured.err
+        assert not any(str(path) in captured.err for path in files.values())
 
     @pytest.mark.parametrize(
         "command, text, message",
@@ -388,6 +390,20 @@ class TestSubcommands:
         code, out = run(["linres", "--d", "2", "--field", "both", files["two_edges"]], capsys)
         assert code == EXIT_FALSE
         assert json.loads(out)["linear_resolution"] == {"gf2": False, "char0": False}
+
+    @pytest.mark.parametrize(
+        "argv", [["cwl"], ["linres", "--d", "3"]], ids=["cwl", "linres"]
+    )
+    def test_both_fields_on_rp2(self, files, capsys, argv):
+        # a gf2 "linear" is taken for char0 too, but RP^2's 2-torsion makes
+        # gf2 nonlinear alone, so char0 gets its own walk and its own verdict
+        key = "componentwise_linear" if argv[0] == "cwl" else "linear_resolution"
+        code, out = run(argv + ["--field", "both", files["rp2_ideal"]], capsys)
+        assert code == EXIT_FALSE
+        assert json.loads(out)[key] == {"gf2": False, "char0": True}
+        code, out = run(argv + ["--field", "both", "--format", "pretty", files["rp2_ideal"]],
+                        capsys)
+        assert out.endswith(": {'gf2': False, 'char0': True}\n")
 
     def test_linres_degree_mismatch_is_an_input_error(self, files, capsys):
         code = main(["linres", "--d", "3", files["triangle"]])

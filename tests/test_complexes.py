@@ -18,7 +18,7 @@ from srchordal import (
     vertices_from_mask,
 )
 import srchordal.complexes
-from generators import random_complex, random_small_facet_complex
+from generators import complex_draws, random_complex, random_small_facet_complex
 from oracles import brute_deletion, brute_face_set, brute_minimal_nonfaces
 
 EX0 = SimplicialComplex.from_facets(5, [[2, 5], [1, 4, 5], [1, 2, 3, 4]])
@@ -72,9 +72,7 @@ class TestConstruction:
             SimplicialComplex.from_facets(0, [])
 
     def test_antichain_invariant_random(self):
-        rng = random.Random(101)
-        for _ in range(200):
-            cx = random_complex(rng, 7, allow_void=True)
+        for _, cx in complex_draws(101, 1101, 200, 7, allow_void=True):
             for f in cx.facets:
                 assert sum(1 for g in cx.facets if f & ~g == 0) == 1
 
@@ -187,9 +185,7 @@ class TestFaceDeletion:
         assert cx.face_deletion([3]) == cx
 
     def test_keeps_the_face(self):
-        rng = random.Random(103)
-        for _ in range(100):
-            cx = random_complex(rng, 6)
+        for rng, cx in complex_draws(103, 1103, 100, 6):
             faces = sorted(brute_face_set(cx))
             e = rng.choice(faces)
             out = cx.face_deletion(e)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from srchordal import (
+    CHAR0,
     GF2,
     Monomial,
     MonomialIdeal,
@@ -16,6 +17,7 @@ from srchordal import (
     ZeroIdealError,
     betti_table,
     classify,
+    degree_component,
     gotzmann_decomposition,
     is_chordal,
     is_componentwise_linear,
@@ -31,17 +33,23 @@ from srchordal import (
     stanley_reisner_ideal,
 )
 from srchordal.families import _alexander_dual_of
-from data import DUNCE_HAT_FACETS
+from data import DUNCE_HAT_FACETS, EX0_FACETS, RP2_FACETS
 from generators import (
     random_complex,
     random_gotzmann_ideal,
     random_ideal,
     random_proper_complex,
+    random_rp2_extension,
     random_shifted_complex,
     random_stable_ideal,
     random_strongly_stable_monomial_ideal,
 )
-from oracles import brute_exchange_closed, brute_is_shifted, stable_betti
+from oracles import (
+    brute_exchange_closed,
+    brute_is_shifted,
+    stable_betti,
+    unbounded_componentwise_linear,
+)
 
 
 class TestStableCheckers:
@@ -315,3 +323,41 @@ class TestClassify:
             report = classify(ideal)
             assert report["strongly_stable"] == report["shifted"]
             done += 1
+
+    def test_componentwise_linear_is_each_fields_own_verdict(self):
+        # char 0 is read off a GF(2) "linear"; every verdict must still be
+        # the one a walk over that field alone gives, and the oracle's
+        rng = random.Random(514)
+        draws = [random_ideal(rng, 7, min_n=3) for _ in range(30)]
+        draws += [stanley_reisner_ideal(random_rp2_extension(rng, 7)) for _ in range(3)]
+        seen = []
+        for ideal in draws:
+            verdicts = classify(ideal)["componentwise_linear"]
+            assert list(verdicts) == ["gf2", "char0"]
+            for field in (GF2, CHAR0):
+                assert verdicts[field.label] == is_componentwise_linear(ideal, field), ideal
+                assert verdicts[field.label] == unbounded_componentwise_linear(
+                    ideal, field.characteristic
+                ), (ideal, field)
+            seen.append((verdicts["gf2"], verdicts["char0"]))
+        assert {(True, True), (False, False), (False, True)} <= set(seen)
+
+    def test_walks_each_component_once_when_gf2_is_linear(self, monkeypatch):
+        import srchordal.betti
+
+        real = srchordal.betti.has_linear_resolution
+        checked = []
+
+        def counting(comp, field, **kwargs):
+            checked.append((comp, field))
+            return real(comp, field, **kwargs)
+
+        monkeypatch.setattr(srchordal.betti, "has_linear_resolution", counting)
+        ideal = stanley_reisner_ideal(SimplicialComplex.from_facets(5, EX0_FACETS))
+        assert classify(ideal)["componentwise_linear"] == {"gf2": True, "char0": True}
+        assert checked == [(degree_component(ideal, j), GF2) for j in (2, 3)]
+        # RP^2 is linear over Q but not over GF(2): char 0 walks on its own
+        checked.clear()
+        rp2 = stanley_reisner_ideal(SimplicialComplex.from_facets(6, RP2_FACETS))
+        assert classify(rp2)["componentwise_linear"] == {"gf2": False, "char0": True}
+        assert checked == [(rp2, GF2), (rp2, CHAR0)]
