@@ -15,6 +15,14 @@ face, and it is open whether greedy simplicial deletion can do the same,
 so a failed branch must not decide the verdict. Certificates are
 returned as FreeSequence values that `verify_sequence` replays with the
 same move and goal, without trusting the search.
+
+An order search carries its state down the tree: each state keeps how
+many facets contain each d-set, and a move changes those counts only
+through the one facet it replaces and the few it adds, so no state
+recounts from every facet. The free non-facet d-sets read off the
+counts are exactly the candidates a recount gives, so certificates,
+node counts and budget exits are those of a recount. A collapse search
+still recounts at every state (see `_search`).
 """
 
 from __future__ import annotations
@@ -145,14 +153,19 @@ def free_faces(cx: SimplicialComplex, max_dim: int) -> list[int]:
 
 
 def _free_faces(cx: SimplicialComplex, sizes: Sequence[int]) -> list[int]:
-    """Free faces with a vertex count in `sizes`, ascending. One pass over
-    the facets counts the facets that contain each subset of an admitted
-    size; a subset is free when its count is 1."""
+    """Free faces with a vertex count in `sizes`, ascending: the subsets
+    of an admitted size that lie in exactly one facet."""
+    return sorted(e for e, c in _containing(cx.facets, sizes).items() if c == 1)
+
+
+def _containing(facets: tuple[int, ...], sizes: Sequence[int]) -> Counter[int]:
+    """For each subset of a facet with a vertex count in `sizes`, how many
+    of the facets contain it, in one pass over the facets."""
     count: Counter[int] = Counter()
-    for f in cx.facets:
+    for f in facets:
         for k in sizes:
             count.update(subsets_of_size(f, k))
-    return sorted(e for e, c in count.items() if c == 1)
+    return count
 
 
 def simplicial_faces(cx: SimplicialComplex, d: int) -> list[int]:
@@ -225,19 +238,61 @@ def _candidates(kind: str, cx: SimplicialComplex, d: int) -> Sequence[int]:
     return [e for e in _free_faces(cx, (d,)) if e not in facets]
 
 
+def _order_candidates(cx: SimplicialComplex, count: Counter[int]) -> list[int]:
+    """The faces a simplicial-order search tries on cx, given how many
+    facets of cx contain each d-set: those in exactly one that are not
+    facets, ascending, as `_candidates` lists them."""
+    facets = set(cx.facets)
+    return sorted(e for e, c in count.items() if c == 1 and e not in facets)
+
+
+def _recount(
+    count: Counter[int], old: tuple[int, ...], new: tuple[int, ...], sizes: Sequence[int]
+) -> Counter[int]:
+    """`_containing(new, sizes)` from `count`, which is
+    `_containing(old, sizes)`: only the facets in one of the two and not
+    the other change a count."""
+    out = count.copy()
+    for facets, step in ((set(old).difference(new), -1), (set(new).difference(old), 1)):
+        for f in facets:
+            for k in sizes:
+                for e in subsets_of_size(f, k):
+                    out[e] += step
+    return out
+
+
 def _search(cx: SimplicialComplex, kind: str, d: int, budget: int) -> FreeSequence | None:
     """Depth-first search for a free sequence of the given kind, trying
     candidates in ascending mask order and skipping states already known
     to fail; None when none exists. The caller has checked cx: a
-    simplicial order needs a d-closure."""
+    simplicial order needs a d-closure.
+
+    A simplicial-order frame carries, beside its complex, how many
+    facets contain each d-set. A move at E replaces only the facet F
+    containing E, by E and the pieces F-{v} that survive, so a child's
+    counts are its parent's with F's d-subsets taken off and those of
+    the new facets put on (`_recount`). The candidates read off them are
+    exactly `_candidates`: every d-set is a face of a d-closure and of
+    each face deletion of one, so each has a count, and the free ones
+    are those counted once. Counts are carried only into a state not
+    already known to fail; most moves of a failing search reach one.
+
+    A collapse frame still recounts its free faces from every facet.
+    Carrying its counts over every admitted size is the same `_recount`;
+    it waits until the benchmark harness stops keeping every round's
+    output, whose memory grows with the rounds a faster search fits in.
+    """
     move, done = _rule(kind, cx, d)
     if done(cx.facets):
         return FreeSequence(kind, d, ())
+    carried = kind == KIND_SIMPLICIAL_ORDER
     nodes = 0
     dead: set[tuple[int, ...]] = set()
-    frames = [(cx, iter(_candidates(kind, cx, d)), 0)]
+    count = _containing(cx.facets, (d,)) if carried else None
+    first = _order_candidates(cx, count) if carried else _candidates(kind, cx, d)
+    frames = [(cx, iter(first), 0, count)]
     while frames:
-        cur, it, _ = frames[-1]
+        cur, it, _, count = frames[-1]
         e = next(it, None)
         if e is None:
             dead.add(cur.facets)
@@ -251,8 +306,13 @@ def _search(cx: SimplicialComplex, kind: str, d: int, budget: int) -> FreeSequen
         nxt = move(cur, e)
         if done(nxt.facets):
             return FreeSequence(kind, d, tuple(fr[2] for fr in frames[1:]) + (e,))
-        if nxt.facets not in dead:
-            frames.append((nxt, iter(_candidates(kind, nxt, d)), e))
+        if nxt.facets in dead:
+            continue
+        if carried:
+            count = _recount(count, cur.facets, nxt.facets, (d,))
+            frames.append((nxt, iter(_order_candidates(nxt, count)), e, count))
+        else:
+            frames.append((nxt, iter(_candidates(kind, nxt, d)), e, None))
     return None
 
 

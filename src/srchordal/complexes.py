@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .bitsets import (
-    iter_vertices,
     mask_from_vertices,
     maximal_elements,
     minimal_transversals,
@@ -180,24 +179,27 @@ class SimplicialComplex:
         that is not a face changes nothing.
         """
         m = self._coerce_face(face)
-        return SimplicialComplex._raw(
-            self.n, self.ambient, tuple(sorted(_without_superfaces(self.facets, m)))
-        )
+        above = [f for f in self.facets if f & m == m]
+        facets = _without_superfaces(self.facets, above, m)
+        return SimplicialComplex._raw(self.n, self.ambient, tuple(sorted(facets)))
 
     def face_deletion(self, face) -> "SimplicialComplex":
         """Remove the faces strictly containing E but keep E itself.
 
-        A set that is not a face, or is a facet, changes nothing.
-        Otherwise the facets are those `_without_superfaces` leaves,
-        plus E, and no antichain reduction is needed: a piece F-{v}
-        inside E would give F <= E, so F = E would be a facet; a kept
-        facet K inside E would lie inside a facet containing E, which
-        an antichain forbids; and no remaining facet contains E.
+        One scan lists the facets above E. None means E is not a face,
+        and E alone means E is a facet; either way nothing changes and
+        the complex itself is returned. Otherwise the facets are those
+        `_without_superfaces` leaves, plus E, and no antichain reduction
+        is needed: a piece F-{v} inside E would give F <= E, so F = E
+        would be a facet; a kept facet K inside E would lie inside a
+        facet containing E, which an antichain forbids; and no remaining
+        facet contains E.
         """
         m = self._coerce_face(face)
-        if m in self.facets or not self.is_face(m):
+        above = [f for f in self.facets if f & m == m]
+        if not above or above[0] == m:
             return self
-        facets = _without_superfaces(self.facets, m)
+        facets = _without_superfaces(self.facets, above, m)
         facets.append(m)
         return SimplicialComplex._raw(self.n, self.ambient, tuple(sorted(facets)))
 
@@ -255,26 +257,34 @@ class SimplicialComplex:
             raise FormatError(str(exc)) from exc
 
 
-def _without_superfaces(facets: tuple[int, ...], m: int) -> list[int]:
-    """The facets left after removing every face containing m, unsorted.
+def _without_superfaces(facets: tuple[int, ...], above: list[int], m: int) -> list[int]:
+    """The facets left after removing every face containing m, unsorted,
+    given the facets `above` that contain m.
 
-    The facets not containing m are kept. Each facet F containing m
-    leaves the pieces F-{v}, v in m, that lie in no kept facet. Nothing
+    The other facets are kept. Each facet F above m leaves the pieces
+    F-{v}, v in m, that lie in no kept facet. F-{v} lies in a facet K
+    other than F exactly when F-K is {v}, as F-K is then not empty; and
+    F-K misses v when K is above m. So the differences F-K over all
+    facets hold {v} exactly when a kept facet contains F-{v}. Nothing
     else needs checking, because the facets form an antichain:
     * the pieces are distinct and pairwise incomparable: F-{v} keeps
       every other vertex of m, so F-{v} <= F'-{v'} forces v = v' and
       then F <= F', i.e. F = F';
     * no kept facet K lies inside a piece F-{v}, since then K < F.
     """
-    kept = [f for f in facets if f & m != m]
-    bits = [1 << (v - 1) for v in iter_vertices(m)]
-    out = kept[:]
-    for f in facets:
-        if f & m == m:
-            for b in bits:
-                piece = f ^ b
-                if not any(piece & ~k == 0 for k in kept):
-                    out.append(piece)
+    if not m:
+        return []  # every face contains the empty face
+    out = list(facets)
+    for f in above:
+        out.remove(f)
+    for f in above:
+        missing = {f & ~k for k in facets}
+        rest = m
+        while rest:
+            b = rest & -rest  # the lowest vertex of m not yet tried
+            if b not in missing:
+                out.append(f ^ b)
+            rest ^= b
     return out
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import srchordal.chordality
 from srchordal import (
     GF2,
     DimensionRangeError,
@@ -35,6 +36,7 @@ from srchordal.chordality import (
     KIND_COLLAPSE,
     KIND_SIMPLICIAL_ORDER,
     _candidates,
+    _containing,
     _free_faces,
     _search,
 )
@@ -446,6 +448,57 @@ class TestSearchPins:
                 patch.setattr(SimplicialComplex, method, counting)
                 assert search(closure, 2) is None
             assert len(calls) == expected
+
+    def test_budget_gadget_tree_size(self):
+        # the exhaustive order search behind the budget-exhausting
+        # operation of the refute benchmark takes exactly 43,008 moves
+        closure = d_closure(GADGET, 2)
+        assert find_simplicial_order(closure, 2, budget=43_008) is None
+        with pytest.raises(SearchBudgetExceeded):
+            find_simplicial_order(closure, 2, budget=43_007)
+
+
+class TestCarriedCounts:
+    def test_carried_candidates_match_a_recount(self, monkeypatch):
+        # at every state an order search expands, the counts it carried
+        # from the parent state, and the candidates read off them, are
+        # those counted afresh from every facet
+        read = srchordal.chordality._order_candidates
+        move = SimplicialComplex.face_deletion
+        expanded, moves = [], []
+
+        def checked(cx, count):
+            assert count == _containing(cx.facets, (d,))
+            got = read(cx, count)
+            assert got == list(_candidates(KIND_SIMPLICIAL_ORDER, cx, d))
+            expanded.append(cx)
+            return got
+
+        def counted(cx, e):
+            moves.append(e)
+            return move(cx, e)
+
+        monkeypatch.setattr(srchordal.chordality, "_order_candidates", checked)
+        monkeypatch.setattr(SimplicialComplex, "face_deletion", counted)
+        verdicts, dead_hits = set(), 0
+        for rng, cx in complex_draws(716, 1716, 50, 7):
+            for d in (1, 2, 3):
+                closures = [d_closure(cx, d)]
+                if d < 3 and cx.n >= 2 + 2 * d:
+                    closures.append(d_closure(plant_hole(rng, cx, d), d))
+                for closure in closures:
+                    expanded.clear()
+                    moves.clear()
+                    found = find_simplicial_order(closure, d)
+                    if found is not None:
+                        assert verify_sequence(closure, found, d)
+                    elif expanded:
+                        # each move of a failed search reaches a state
+                        # first expanded then or already known to fail
+                        dead_hits += len(moves) - (len(expanded) - 1)
+                    verdicts.add(found is not None)
+        assert verdicts == {False, True}
+        assert dead_hits > 0
 
 
 class TestVerifySequence:

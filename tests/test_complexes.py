@@ -215,6 +215,8 @@ class TestMovesAgainstOracle:
                 kept = cx.face_deletion(e)
                 assert kept.facets == brute_deletion(cx, e, keep_e=True), (cx, e)
                 assert kept.ambient == cx.ambient
+                # a nonface or a facet changes nothing: the very same value
+                assert (kept is cx) == (e not in faces or e in cx.facets), (cx, e)
                 containing = sum(1 for f in cx.facets if e & ~f == 0)
                 if e not in faces:
                     seen["nonface"] += 1
