@@ -21,8 +21,17 @@ many facets contain each d-set, and a move changes those counts only
 through the one facet it replaces and the few it adds, so no state
 recounts from every facet. The free non-facet d-sets read off the
 counts are exactly the candidates a recount gives, so certificates,
-node counts and budget exits are those of a recount. A collapse search
-still recounts at every state (see `_search`).
+node counts and budget exits are those of a recount.
+
+Its memo of failed states is keyed by the (d+1)-faces lost: a bitmask
+with one bit for each (d+1)-face of the start that a move has removed.
+A move at E sets the bits of the (d+1)-faces that contain E, so a
+child's key is known before the child is built, and a move onto a
+state known to fail is skipped without building it. The key is exact on
+any start, closure or not (see `_search`). A collapse search keeps a
+memo keyed by facets and recounts at every state: its moves remove
+faces of every size, and on the collapsible complexes of the `certify`
+benchmark it never backtracks, so a key would save no build there.
 """
 
 from __future__ import annotations
@@ -261,6 +270,33 @@ def _recount(
     return out
 
 
+class _Stars(dict):
+    """For each d-set E, the bits of the (d+1)-faces of the start that
+    contain E: they lie in the facets containing E, and are E plus one
+    more vertex of those. Each (d+1)-face gets its own bit when first
+    met, and each E is worked out when first asked for, so a search pays
+    only for the stars it needs."""
+
+    def __init__(self, facets: tuple[int, ...]):
+        super().__init__()
+        self.facets = facets
+        self.bits: dict[int, int] = {}
+
+    def __missing__(self, e: int) -> int:
+        rest = 0
+        for f in self.facets:
+            if f & e == e:
+                rest |= f
+        rest &= ~e
+        star = 0
+        while rest:
+            v = rest & -rest
+            star |= self.bits.setdefault(e | v, 1 << len(self.bits))
+            rest ^= v
+        self[e] = star
+        return star
+
+
 def _search(cx: SimplicialComplex, kind: str, d: int, budget: int) -> FreeSequence | None:
     """Depth-first search for a free sequence of the given kind, trying
     candidates in ascending mask order and skipping states already known
@@ -274,28 +310,62 @@ def _search(cx: SimplicialComplex, kind: str, d: int, budget: int) -> FreeSequen
     the new facets put on (`_recount`). The candidates read off them are
     exactly `_candidates`: every d-set is a face of a d-closure and of
     each face deletion of one, so each has a count, and the free ones
-    are those counted once. Counts are carried only into a state not
-    already known to fail; most moves of a failing search reach one.
+    are those counted once.
 
-    A collapse frame still recounts its free faces from every facet.
-    Carrying its counts over every admitted size is the same `_recount`;
-    it waits until the benchmark harness stops keeping every round's
-    output, whose memory grows with the rounds a faster search fits in.
+    Each simplicial-order frame also carries its key: the bitmask of
+    the (d+1)-faces of cx it has lost (`_Stars` gives each its bit). The
+    move at E removes the (d+1)-faces containing E, so the child's key
+    is the parent's with the bits of star[E] set, and the memo of failed
+    states holds keys. A move onto a key already known to fail still
+    counts as a node, so budgets, node counts and certificates are those
+    of a memo keyed by facets; only the face deletion and the recount of
+    that child are skipped. Until some state has failed, no child can be
+    known to fail, so frames are pushed without a key: a search that
+    never fails a state pays nothing for keys. The first failed state
+    keys the frames on its stack, each the union of the stars of the
+    moves that reached it, and every later child its own from its
+    parent's. The key fixes the state on any start, not only on a
+    d-closure:
+    * a move at a d-set E removes exactly the faces that strictly
+      contain E, which have more than d vertices, so every face with at
+      most d vertices stays as in cx;
+    * a face G of cx with more than d+1 vertices survives iff no moved
+      E lies in G, iff each (d+1)-subset of G survives, since E lies in
+      G exactly when it lies in a (d+1)-subset of G (E plus a vertex of
+      G outside it).
+    So every state reached is cx cut down to the faces whose
+    (d+1)-subsets all survive. The key names the (d+1)-faces lost, so
+    two states with one key are equal.
+
+    A collapse frame keys its memo by facets and recounts its free
+    faces from every facet. Its moves remove faces of every size, so no
+    one level of faces fixes the state. Carrying its counts over every
+    admitted size is the same `_recount`; it waits until the benchmark
+    harness stops keeping every round's output, whose memory grows with
+    the rounds a faster search fits in.
     """
     move, done = _rule(kind, cx, d)
     if done(cx.facets):
         return FreeSequence(kind, d, ())
-    carried = kind == KIND_SIMPLICIAL_ORDER
+    order = kind == KIND_SIMPLICIAL_ORDER
     nodes = 0
-    dead: set[tuple[int, ...]] = set()
-    count = _containing(cx.facets, (d,)) if carried else None
-    first = _order_candidates(cx, count) if carried else _candidates(kind, cx, d)
-    frames = [(cx, iter(first), 0, count)]
+    dead: set[int | tuple[int, ...]] = set()
+    if order:
+        star = _Stars(cx.facets)
+        count = _containing(cx.facets, (d,))
+        frames = [(cx, iter(_order_candidates(cx, count)), 0, count, 0)]
+    else:
+        frames = [(cx, iter(_candidates(kind, cx, d)), 0, None, cx.facets)]
     while frames:
-        cur, it, _, count = frames[-1]
+        cur, it, _, count, key = frames[-1]
         e = next(it, None)
         if e is None:
-            dead.add(cur.facets)
+            if key is None:  # the first failed state: key the frames on the stack
+                key = 0
+                for i in range(1, len(frames)):
+                    key |= star[frames[i][2]]
+                    frames[i] = frames[i][:4] + (key,)
+            dead.add(key)
             frames.pop()
             continue
         nodes += 1
@@ -303,16 +373,19 @@ def _search(cx: SimplicialComplex, kind: str, d: int, budget: int) -> FreeSequen
             raise SearchBudgetExceeded(
                 f"{_SEARCH_NAMES[kind]} search exceeded the node budget ({budget})"
             )
+        child = None
+        if order and dead:
+            child = key | star[e]
+            if child in dead:
+                continue
         nxt = move(cur, e)
         if done(nxt.facets):
             return FreeSequence(kind, d, tuple(fr[2] for fr in frames[1:]) + (e,))
-        if nxt.facets in dead:
-            continue
-        if carried:
+        if order:
             count = _recount(count, cur.facets, nxt.facets, (d,))
-            frames.append((nxt, iter(_order_candidates(nxt, count)), e, count))
-        else:
-            frames.append((nxt, iter(_candidates(kind, nxt, d)), e, None))
+            frames.append((nxt, iter(_order_candidates(nxt, count)), e, count, child))
+        elif nxt.facets not in dead:
+            frames.append((nxt, iter(_candidates(kind, nxt, d)), e, None, nxt.facets))
     return None
 
 

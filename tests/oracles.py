@@ -310,3 +310,40 @@ def brute_is_d_collapsible(cx: SimplicialComplex, d: int) -> bool:
         return False
 
     return collapsible(frozenset(brute_face_set(cx)))
+
+
+def brute_has_simplicial_order(cx: SimplicialComplex, d: int) -> bool:
+    """Whether simplicial deletions take cx to the (d-1)-skeleton of the
+    simplex on its ambient set, by definition and without pruning, on
+    explicit face sets: the goal is the set of all sets of at most d
+    ambient vertices. From any other face set, every face E with d
+    vertices that is not maximal and lies in exactly one maximal face is
+    tried, removing the faces that properly contain E. Failed face sets
+    are memoized."""
+    amb = cx.ambient
+    goal = frozenset(
+        f for f in brute_face_set(SimplicialComplex(cx.n, [amb], ambient=amb))
+        if f.bit_count() <= d
+    )
+    dead: set[frozenset[int]] = set()
+
+    def reaches(faces: frozenset[int]) -> bool:
+        if faces == goal:
+            return True
+        if faces in dead:
+            return False
+        maximal = [
+            f for f in faces
+            if all(f | 1 << v not in faces for v in range(cx.n) if not f >> v & 1)
+        ]
+        for e in sorted(faces):
+            if e.bit_count() != d or e in maximal:
+                continue
+            if sum(1 for g in maximal if e & ~g == 0) != 1:
+                continue
+            if reaches(frozenset(f for f in faces if f & e != e or f == e)):
+                return True
+        dead.add(faces)
+        return False
+
+    return reaches(frozenset(brute_face_set(cx)))

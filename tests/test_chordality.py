@@ -31,6 +31,7 @@ from srchordal import (
     stanley_reisner_ideal,
     verify_sequence,
 )
+from srchordal.bitsets import subsets_of_size
 from srchordal.chordality import (
     DEFAULT_BUDGET,
     KIND_COLLAPSE,
@@ -55,7 +56,7 @@ from generators import (
     random_d_closure,
     random_small_facet_complex,
 )
-from oracles import brute_d_closure, brute_is_d_collapsible
+from oracles import brute_d_closure, brute_has_simplicial_order, brute_is_d_collapsible
 
 EX0 = SimplicialComplex.from_facets(5, EX0_FACETS)
 HOLLOW = SimplicialComplex.from_facets(4, HOLLOW_TETRA_FACETS)
@@ -426,28 +427,51 @@ class TestSearchPins:
         )
 
     @pytest.mark.parametrize(
-        "cx, order_moves, collapse_moves",
+        "cx, order_nodes, collapse_moves",
         [(DUNCE, 0, 32), (OCTAHEDRON_AND_MORE, 48, 1940)],
         ids=["dunce_hat", "octahedron_and_more"],
     )
-    def test_exhaustive_search_tree_size(self, monkeypatch, cx, order_moves, collapse_moves):
-        # both searches fail, so the moves counted cover the whole tree
+    def test_exhaustive_search_tree_size(self, monkeypatch, cx, order_nodes, collapse_moves):
+        # both searches fail, so the nodes counted cover the whole tree:
+        # the order search's by its node budget, which also counts the
+        # moves onto states known to fail, and the collapse search's by
+        # its moves
         closure = d_closure(cx, 2)
-        for method, search, expected in [
-            ("face_deletion", find_simplicial_order, order_moves),
-            ("delete_all", is_d_collapsible, collapse_moves),
-        ]:
-            real = getattr(SimplicialComplex, method)
-            calls = []
+        assert find_simplicial_order(closure, 2, budget=order_nodes) is None
+        if order_nodes:
+            with pytest.raises(SearchBudgetExceeded):
+                find_simplicial_order(closure, 2, budget=order_nodes - 1)
+        real = SimplicialComplex.delete_all
+        calls = []
 
-            def counting(self, face, real=real, calls=calls):
-                calls.append(face)
-                return real(self, face)
+        def counting(self, face):
+            calls.append(face)
+            return real(self, face)
 
-            with monkeypatch.context() as patch:
-                patch.setattr(SimplicialComplex, method, counting)
-                assert search(closure, 2) is None
-            assert len(calls) == expected
+        monkeypatch.setattr(SimplicialComplex, "delete_all", counting)
+        assert is_d_collapsible(closure, 2) is None
+        assert len(calls) == collapse_moves
+
+    @pytest.mark.parametrize(
+        "cx, built", [(DUNCE, 0), (OCTAHEDRON_AND_MORE, 15)], ids=["dunce_hat", "octahedron_and_more"]
+    )
+    def test_dead_children_are_never_built(self, monkeypatch, cx, built):
+        # a failed order search builds each state it reaches once: on the
+        # octahedron, 15 of its 48 moves reach a new state and the other
+        # 33 land on a state known to fail, which is skipped unbuilt
+        closure = d_closure(cx, 2)
+        real = SimplicialComplex.face_deletion
+        states = []
+
+        def building(self, face):
+            out = real(self, face)
+            states.append(out.facets)
+            return out
+
+        monkeypatch.setattr(SimplicialComplex, "face_deletion", building)
+        assert find_simplicial_order(closure, 2) is None
+        assert len(states) == built
+        assert len(set(states) | {closure.facets}) == built + 1
 
     def test_budget_gadget_tree_size(self):
         # the exhaustive order search behind the budget-exhausting
@@ -462,24 +486,33 @@ class TestCarriedCounts:
     def test_carried_candidates_match_a_recount(self, monkeypatch):
         # at every state an order search expands, the counts it carried
         # from the parent state, and the candidates read off them, are
-        # those counted afresh from every facet
+        # those counted afresh from every facet; a failed search builds
+        # only the states it then expands, each once
         read = srchordal.chordality._order_candidates
         move = SimplicialComplex.face_deletion
-        expanded, moves = [], []
+        expanded, built, moves = [], [], []
 
         def checked(cx, count):
             assert count == _containing(cx.facets, (d,))
             got = read(cx, count)
             assert got == list(_candidates(KIND_SIMPLICIAL_ORDER, cx, d))
-            expanded.append(cx)
-            return got
+            expanded.append(cx.facets)
+            return tried(got)
 
-        def counted(cx, e):
-            moves.append(e)
-            return move(cx, e)
+        def tried(candidates):
+            # the search takes the face of each move from here, so the
+            # moves onto states known to fail, which build nothing, count
+            for e in candidates:
+                moves.append(e)
+                yield e
+
+        def building(cx, e):
+            out = move(cx, e)
+            built.append(out.facets)
+            return out
 
         monkeypatch.setattr(srchordal.chordality, "_order_candidates", checked)
-        monkeypatch.setattr(SimplicialComplex, "face_deletion", counted)
+        monkeypatch.setattr(SimplicialComplex, "face_deletion", building)
         verdicts, dead_hits = set(), 0
         for rng, cx in complex_draws(716, 1716, 50, 7):
             for d in (1, 2, 3):
@@ -488,17 +521,60 @@ class TestCarriedCounts:
                     closures.append(d_closure(plant_hole(rng, cx, d), d))
                 for closure in closures:
                     expanded.clear()
+                    built.clear()
                     moves.clear()
                     found = find_simplicial_order(closure, d)
                     if found is not None:
                         assert verify_sequence(closure, found, d)
                     elif expanded:
                         # each move of a failed search reaches a state
-                        # first expanded then or already known to fail
-                        dead_hits += len(moves) - (len(expanded) - 1)
+                        # first built and expanded then, or one already
+                        # known to fail
+                        assert built == expanded[1:]
+                        assert len(set(expanded)) == len(expanded)
+                        dead_hits += len(moves) - len(built)
                     verdicts.add(found is not None)
         assert verdicts == {False, True}
         assert dead_hits > 0
+
+
+class TestOrderOracle:
+    def test_order_search_matches_a_brute_force_search(self):
+        # the order search against an exhaustive search over explicit
+        # face sets: on d-closures, and on starts that are not closures,
+        # where the key of the dead-state memo must still fix the state.
+        # Those are each start with every d-set added, and the drawn
+        # starts of dimension at most 2: no non-closure reaches the
+        # skeleton, so the brute force walks every state one reaches,
+        # which is slow on larger ones
+        verdicts, closures, others = set(), 0, 0
+        for rng, cx in complex_draws(723, 1723, 40, 7):
+            for d in (1, 2, 3):
+                starts = [cx]
+                if d < 3 and cx.n >= 2 + 2 * d:
+                    starts.append(plant_hole(rng, cx, d))
+                for start in starts:
+                    closure = d_closure(start, d)
+                    found = find_simplicial_order(closure, d)
+                    assert (found is not None) == brute_has_simplicial_order(closure, d)
+                    if found is not None:
+                        assert verify_sequence(closure, found, d)
+                    verdicts.add(found is not None)
+                    closures += 1
+                    amb = start.ambient
+                    filled = SimplicialComplex(
+                        start.n, start.facets + tuple(subsets_of_size(amb, d)), ambient=amb
+                    )
+                    for other in {start, filled} - {closure}:
+                        if other is start and start.dim > 2:
+                            continue
+                        got = _search(other, KIND_SIMPLICIAL_ORDER, d, DEFAULT_BUDGET)
+                        assert (got is not None) == brute_has_simplicial_order(other, d)
+                        if got is not None:
+                            assert verify_sequence(other, got, d)
+                        others += 1
+        assert verdicts == {False, True}
+        assert closures >= 300 and others >= 100
 
 
 class TestVerifySequence:
