@@ -6,32 +6,32 @@ vertices and every face above it, and ends at the void complex. A
 simplicial order deletes the proper superfaces of a free d-vertex
 non-facet of a d-closure, and ends at the (d-1)-skeleton. The paper
 proves that a d-closure has a simplicial order iff it is d-collapsible;
-here one search, `_search`, runs both with two move rules, and the
-kinds differ only in the faces tried, the move and the goal.
+here one search loop, `_dfs`, runs both, and the kinds differ in the
+state, the faces tried, the move and the goal.
 
 The search is exhaustive with memoization of failed states, never
 greedy: collapsing can paint itself into a corner through a "bad" free
 face, and it is open whether greedy simplicial deletion can do the same,
 so a failed branch must not decide the verdict. Certificates are
-returned as FreeSequence values that `verify_sequence` replays with the
-same move and goal, without trusting the search.
+returned as FreeSequence values that `verify_sequence` replays without
+trusting the search.
 
-An order search carries its state down the tree: each state keeps how
-many facets contain each d-set, and a move changes those counts only
-through the one facet it replaces and the few it adds, so no state
-recounts from every facet. The free non-facet d-sets read off the
-counts are exactly the candidates a recount gives, so certificates,
-node counts and budget exits are those of a recount.
+An order search runs on one int of state: the (d+1)-faces of the start
+still present, one bit each. A move at E clears the bits of the
+(d+1)-faces containing E, and every state reached is the start cut down
+to the faces whose (d+1)-subsets all survive, so the int fixes the
+state, keys the memo of failed states, and tells the goal and the free
+non-facet d-sets without a complex being built (see `_order_rule`). The
+candidates are read off it lazily, in ascending order: a search that
+does not backtrack tests only the d-sets up to the first that leads on.
+A collapse search keeps the complex as its state and recounts its free
+faces at every state: its moves remove faces of every size, and on the
+collapsible complexes of the `certify` benchmark it never backtracks.
 
-Its memo of failed states is keyed by the (d+1)-faces lost: a bitmask
-with one bit for each (d+1)-face of the start that a move has removed.
-A move at E sets the bits of the (d+1)-faces that contain E, so a
-child's key is known before the child is built, and a move onto a
-state known to fail is skipped without building it. The key is exact on
-any start, closure or not (see `_search`). A collapse search keeps a
-memo keyed by facets and recounts at every state: its moves remove
-faces of every size, and on the collapsible complexes of the `certify`
-benchmark it never backtracks, so a key would save no build there.
+`verify_sequence` replays both kinds with `face_deletion` and
+`delete_all` on explicit complexes, so the order search and its replay
+share no move code, and an accepted certificate does not rest on the
+bit arithmetic of the search.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .bitsets import iter_vertices, maximal_elements, subsets_of_size, vertices_from_mask
 from .complexes import SimplicialComplex, mask_from_json_labels
@@ -218,13 +218,14 @@ def is_d_collapsible(
 def _rule(
     kind: str, cx: SimplicialComplex, d: int
 ) -> tuple[Callable, Callable[[tuple[int, ...]], bool]]:
-    """The move and the goal test, on facets, of a free sequence of the
-    given kind on cx. A collapse deletes a face with everything above it
-    and ends at the void complex: no facets are left. A simplicial order
-    keeps the face itself and ends at the (d-1)-skeleton of the simplex
-    on the ambient set A: the facets are exactly (A,) when |A| <= d, and
-    otherwise comb(|A|, d) facets of d vertices each, which are then
-    every d-subset of A. The goal is tested, never listed."""
+    """The move and the goal test, on facets, with which `verify_sequence`
+    replays a free sequence of the given kind on cx. A collapse deletes a
+    face with everything above it and ends at the void complex: no facets
+    are left. A simplicial order keeps the face itself and ends at the
+    (d-1)-skeleton of the simplex on the ambient set A: the facets are
+    exactly (A,) when |A| <= d, and otherwise comb(|A|, d) facets of d
+    vertices each, which are then every d-subset of A. The goal is
+    tested, never listed."""
     if kind == KIND_COLLAPSE:
         return SimplicialComplex.delete_all, lambda facets: not facets
     amb = cx.ambient
@@ -247,85 +248,127 @@ def _candidates(kind: str, cx: SimplicialComplex, d: int) -> Sequence[int]:
     return [e for e in _free_faces(cx, (d,)) if e not in facets]
 
 
-def _order_candidates(cx: SimplicialComplex, count: Counter[int]) -> list[int]:
-    """The faces a simplicial-order search tries on cx, given how many
-    facets of cx contain each d-set: those in exactly one that are not
-    facets, ascending, as `_candidates` lists them."""
-    facets = set(cx.facets)
-    return sorted(e for e, c in count.items() if c == 1 and e not in facets)
+def _order_rule(cx: SimplicialComplex, d: int) -> tuple[int, Callable, Callable, Callable]:
+    """The start state, candidates, move and goal of a simplicial-order
+    search on cx, on states that are ints: `alive` has one bit for each
+    (d+1)-face of cx still present, numbered by `faces_of_dim(d)`, and
+    star[E] holds the bits of the (d+1)-faces that contain the d-set E.
+
+    * Move: a move at E removes the faces strictly containing E, so it
+      leaves `alive & ~star[E]`.
+    * Goal: the (d-1)-skeleton of the simplex on the ambient set A. When
+      |A| <= d that is A itself, so the goal is that cx is (A,). Otherwise
+      it is reached when no (d+1)-face is left, provided cx holds every
+      d-subset of A, as a d-closure does. A d-face of cx is either a
+      facet or lies in a (d+1)-face, so the d-faces are counted as the
+      d-vertex facets and the keys of star.
+    * Candidates, ascending: E qualifies iff star[E] & alive is not zero
+      (E lies in a larger face, so it is a face and no facet) and E is
+      free. Let L be the vertices v with E+v alive, and U = E + L, the
+      union of the alive (d+1)-faces that contain E. Every face of the
+      state containing E lies inside U, so E lies in one facet iff U is
+      a face of the state, iff U is a face of cx whose (d+1)-subsets all
+      survive (every state is cx cut down to those faces, see `_search`).
+      need[U], worked out once for each U, holds the bits of those
+      subsets, or a bit no state holds when U is no face of cx, so the
+      test is `need[U] & ~alive == 0`. This holds on any start, closure
+      or not.
+
+    The candidates are a generator over the d-sets in ascending order,
+    so a search that leads on from its first candidate, as a successful
+    one mostly does, tests only the d-sets up to that candidate."""
+    tops = cx.faces_of_dim(d)
+    bit = {t: 1 << i for i, t in enumerate(tops)}
+    star: dict[int, int] = {}
+    for t, b in bit.items():
+        for e in subsets_of_size(t, d):
+            star[e] = star.get(e, 0) | b
+    stars = sorted(star.items())
+    absent = 1 << len(tops)
+    need: dict[int, int] = {}
+
+    def needed(u: int) -> int:
+        if not any(u & ~f == 0 for f in cx.facets):
+            return absent
+        return sum(map(bit.__getitem__, subsets_of_size(u, d + 1)))  # distinct bits: their OR
+
+    def candidates(alive: int) -> Iterator[int]:
+        for e, s in stars:
+            live = s & alive
+            if live:
+                u = e
+                while live:
+                    low = live & -live
+                    u |= tops[low.bit_length() - 1]
+                    live ^= low
+                if u not in need:
+                    need[u] = needed(u)
+                if not need[u] & ~alive:
+                    yield e
+
+    size = cx.ambient.bit_count()
+    if size <= d:
+        full = cx.facets == (cx.ambient,)
+    else:
+        full = len(star) + sum(f.bit_count() == d for f in cx.facets) == comb(size, d)
+    return (
+        absent - 1,
+        candidates,
+        lambda alive, e: alive & ~star[e],
+        lambda alive: full and not alive,
+    )
 
 
-def _recount(
-    count: Counter[int], old: tuple[int, ...], new: tuple[int, ...], sizes: Sequence[int]
-) -> Counter[int]:
-    """`_containing(new, sizes)` from `count`, which is
-    `_containing(old, sizes)`: only the facets in one of the two and not
-    the other change a count."""
-    out = count.copy()
-    for facets, step in ((set(old).difference(new), -1), (set(new).difference(old), 1)):
-        for f in facets:
-            for k in sizes:
-                for e in subsets_of_size(f, k):
-                    out[e] += step
-    return out
+def _dfs(
+    start, candidates: Callable, move: Callable, done: Callable, budget: int, kind: str
+) -> tuple[int, ...] | None:
+    """Depth-first search from `start` for a sequence of moves that
+    reaches a state `done` accepts, trying each state's candidates in
+    the order given; the faces of the moves, or None when there is none.
+    Each state's candidates are drawn one at a time, only as far as the
+    search gets, so a generator of them is evaluated only up to the
+    candidate that leads on.
 
-
-class _Stars(dict):
-    """For each d-set E, the bits of the (d+1)-faces of the start that
-    contain E: they lie in the facets containing E, and are E plus one
-    more vertex of those. Each (d+1)-face gets its own bit when first
-    met, and each E is worked out when first asked for, so a search pays
-    only for the stars it needs."""
-
-    def __init__(self, facets: tuple[int, ...]):
-        super().__init__()
-        self.facets = facets
-        self.bits: dict[int, int] = {}
-
-    def __missing__(self, e: int) -> int:
-        rest = 0
-        for f in self.facets:
-            if f & e == e:
-                rest |= f
-        rest &= ~e
-        star = 0
-        while rest:
-            v = rest & -rest
-            star |= self.bits.setdefault(e | v, 1 << len(self.bits))
-            rest ^= v
-        self[e] = star
-        return star
+    Every move counts as a node against the budget, including a move
+    onto a state already known to fail, which is then not expanded
+    again: the memo of failed states holds the states themselves, so
+    they must be hashable and equal exactly when they are the same
+    state."""
+    if done(start):
+        return ()
+    nodes = 0
+    dead = set()
+    frames = [(start, iter(candidates(start)), 0)]
+    while frames:
+        state, it, _ = frames[-1]
+        e = next(it, None)
+        if e is None:
+            dead.add(state)
+            frames.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(
+                f"{_SEARCH_NAMES[kind]} search exceeded the node budget ({budget})"
+            )
+        child = move(state, e)
+        if done(child):
+            return tuple(fr[2] for fr in frames[1:]) + (e,)
+        if child not in dead:
+            frames.append((child, iter(candidates(child)), e))
+    return None
 
 
 def _search(cx: SimplicialComplex, kind: str, d: int, budget: int) -> FreeSequence | None:
     """Depth-first search for a free sequence of the given kind, trying
     candidates in ascending mask order and skipping states already known
     to fail; None when none exists. The caller has checked cx: a
-    simplicial order needs a d-closure.
+    simplicial order needs a d-closure. Both kinds run the one loop
+    `_dfs` and differ in their states.
 
-    A simplicial-order frame carries, beside its complex, how many
-    facets contain each d-set. A move at E replaces only the facet F
-    containing E, by E and the pieces F-{v} that survive, so a child's
-    counts are its parent's with F's d-subsets taken off and those of
-    the new facets put on (`_recount`). The candidates read off them are
-    exactly `_candidates`: every d-set is a face of a d-closure and of
-    each face deletion of one, so each has a count, and the free ones
-    are those counted once.
-
-    Each simplicial-order frame also carries its key: the bitmask of
-    the (d+1)-faces of cx it has lost (`_Stars` gives each its bit). The
-    move at E removes the (d+1)-faces containing E, so the child's key
-    is the parent's with the bits of star[E] set, and the memo of failed
-    states holds keys. A move onto a key already known to fail still
-    counts as a node, so budgets, node counts and certificates are those
-    of a memo keyed by facets; only the face deletion and the recount of
-    that child are skipped. Until some state has failed, no child can be
-    known to fail, so frames are pushed without a key: a search that
-    never fails a state pays nothing for keys. The first failed state
-    keys the frames on its stack, each the union of the stars of the
-    moves that reached it, and every later child its own from its
-    parent's. The key fixes the state on any start, not only on a
-    d-closure:
+    A simplicial-order state is one int, the (d+1)-faces of cx still
+    present (`_order_rule`), so no move builds a complex. That int fixes
+    the state on any start, not only on a d-closure:
     * a move at a d-set E removes exactly the faces that strictly
       contain E, which have more than d vertices, so every face with at
       most d vertices stays as in cx;
@@ -334,59 +377,24 @@ def _search(cx: SimplicialComplex, kind: str, d: int, budget: int) -> FreeSequen
       G exactly when it lies in a (d+1)-subset of G (E plus a vertex of
       G outside it).
     So every state reached is cx cut down to the faces whose
-    (d+1)-subsets all survive. The key names the (d+1)-faces lost, so
-    two states with one key are equal.
+    (d+1)-subsets all survive, and two states with the same (d+1)-faces
+    are equal. The memo of failed states holds these ints, and the
+    candidates and the goal are read off them.
 
-    A collapse frame keys its memo by facets and recounts its free
-    faces from every facet. Its moves remove faces of every size, so no
-    one level of faces fixes the state. Carrying its counts over every
-    admitted size is the same `_recount`; it waits until the benchmark
-    harness stops keeping every round's output, whose memory grows with
-    the rounds a faster search fits in.
+    A collapse state is the complex itself: the memo holds complexes,
+    and its candidates are recounted from every facet. Its moves remove
+    faces of every size, so no one level of faces fixes the state.
+    Carrying its counts over every admitted size waits until the
+    benchmark harness stops keeping every round's output, whose memory
+    grows with the rounds a faster search fits in.
     """
-    move, done = _rule(kind, cx, d)
-    if done(cx.facets):
-        return FreeSequence(kind, d, ())
-    order = kind == KIND_SIMPLICIAL_ORDER
-    nodes = 0
-    dead: set[int | tuple[int, ...]] = set()
-    if order:
-        star = _Stars(cx.facets)
-        count = _containing(cx.facets, (d,))
-        frames = [(cx, iter(_order_candidates(cx, count)), 0, count, 0)]
+    if kind == KIND_COLLAPSE:
+        rule = (cx, lambda cur: _candidates(kind, cur, d), SimplicialComplex.delete_all,
+                lambda cur: not cur.facets)
     else:
-        frames = [(cx, iter(_candidates(kind, cx, d)), 0, None, cx.facets)]
-    while frames:
-        cur, it, _, count, key = frames[-1]
-        e = next(it, None)
-        if e is None:
-            if key is None:  # the first failed state: key the frames on the stack
-                key = 0
-                for i in range(1, len(frames)):
-                    key |= star[frames[i][2]]
-                    frames[i] = frames[i][:4] + (key,)
-            dead.add(key)
-            frames.pop()
-            continue
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(
-                f"{_SEARCH_NAMES[kind]} search exceeded the node budget ({budget})"
-            )
-        child = None
-        if order and dead:
-            child = key | star[e]
-            if child in dead:
-                continue
-        nxt = move(cur, e)
-        if done(nxt.facets):
-            return FreeSequence(kind, d, tuple(fr[2] for fr in frames[1:]) + (e,))
-        if order:
-            count = _recount(count, cur.facets, nxt.facets, (d,))
-            frames.append((nxt, iter(_order_candidates(nxt, count)), e, count, child))
-        elif nxt.facets not in dead:
-            frames.append((nxt, iter(_candidates(kind, nxt, d)), e, None, nxt.facets))
-    return None
+        rule = _order_rule(cx, d)
+    faces = _dfs(*rule, budget, kind)
+    return None if faces is None else FreeSequence(kind, d, faces)
 
 
 def is_d_chordal(cx: SimplicialComplex, d: int, *, budget: int = DEFAULT_BUDGET) -> bool:
@@ -416,20 +424,26 @@ def simplicial_deletions(
     E in ascending order, E and whether the face deletion at E still has
     a simplicial order.
 
-    The closure is built once, and no complex is checked again. A face
-    deletion of a d-closure C at a d-vertex face E is a d-closure: it
-    keeps every set of at most d vertices, and a larger set G not
-    containing E is a face of it iff G is a face of C, iff every
-    (d+1)-subset of G is, none of which contains E; a larger G
-    containing E has a (d+1)-subset containing E, which is deleted.
+    The closure and the rules of its order search are built once, and
+    no complex is checked again. The probe at E starts from the
+    closure's state with the (d+1)-faces containing E removed, which is
+    the face deletion at E (see `_search`), so its search tree and
+    verdict are those of a search on that deletion. A face deletion of a
+    d-closure C at a d-vertex face E is a d-closure: it keeps every set
+    of at most d vertices, and a larger set G not containing E is a face
+    of it iff G is a face of C, iff every (d+1)-subset of G is, none of
+    which contains E; a larger G containing E has a (d+1)-subset
+    containing E, which is deleted.
     """
     closure = d_closure(cx, d, budget=budget)
-    if _search(closure, KIND_SIMPLICIAL_ORDER, d, budget) is None:
+    alive, candidates, move, done = _order_rule(closure, d)
+
+    def search(start: int) -> tuple[int, ...] | None:
+        return _dfs(start, candidates, move, done, budget, KIND_SIMPLICIAL_ORDER)
+
+    if search(alive) is None:
         return None
-    return closure, [
-        (e, _search(closure.face_deletion(e), KIND_SIMPLICIAL_ORDER, d, budget) is not None)
-        for e in _candidates(KIND_SIMPLICIAL_ORDER, closure, d)
-    ]
+    return closure, [(e, search(move(alive, e)) is not None) for e in candidates(alive)]
 
 
 def chordality_check_range(cx: SimplicialComplex) -> tuple[int, int]:
@@ -470,6 +484,10 @@ def verify_sequence(cx: SimplicialComplex, seq: FreeSequence, d: int) -> bool:
     current complex, and the replay must end void. For a simplicial
     order: the start must be a d-closure, each face a non-facet free
     (d-1)-face, and the replay must end at the full (d-1)-skeleton.
+
+    The replay builds each complex with `face_deletion` or
+    `delete_all` and tests the goal on its facets, so it shares no move
+    code with the order search, which runs on bits of (d+1)-faces.
 
     The start of an accepted order is a d-closure without a check of its
     own: if E is a free non-facet face of C with d vertices, then C is a

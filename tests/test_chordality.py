@@ -37,7 +37,6 @@ from srchordal.chordality import (
     KIND_COLLAPSE,
     KIND_SIMPLICIAL_ORDER,
     _candidates,
-    _containing,
     _free_faces,
     _search,
 )
@@ -259,8 +258,57 @@ class TestFindSimplicialOrder:
         assert find_simplicial_order(closure, 2) is None
 
     def test_skeleton_base_case(self):
-        sk = simplex_skeleton(4, (1 << 4) - 1, 0)
-        assert find_simplicial_order(sk, 1) == FreeSequence("simplicial_order", 1, ())
+        # a closure that already is the (d-1)-skeleton needs no move, so
+        # even a budget of 0 finds the empty order; with at most d
+        # vertices the skeleton is the whole simplex
+        for d in (1, 2, 3):
+            for n in range(1, 7):
+                sk = simplex_skeleton(n, (1 << n) - 1, d - 1)
+                assert is_d_closure(sk, d)
+                assert find_simplicial_order(sk, d, budget=0) == FreeSequence(
+                    "simplicial_order", d, ()
+                )
+
+    @pytest.mark.parametrize(
+        "n, facets, ambient, d",
+        [
+            (3, [[1, 2], [3]], [1, 2, 3], 3),
+            (3, [[1, 2], [3]], [1, 2, 3], 4),
+            (3, [], [1, 2, 3], 3),
+            (4, [[1], [2]], [1, 2], 2),
+            (5, [[2, 4]], [2, 4, 5], 4),
+        ],
+        ids=["d_vertices", "under_d_vertices", "void", "two_points", "relabelled"],
+    )
+    def test_a_small_ambient_set_is_reached_only_as_the_simplex(self, n, facets, ambient, d):
+        # with at most d ambient vertices the goal is the simplex on
+        # them, so any other start has no order
+        cx = SimplicialComplex(n, facets, ambient=fmask(ambient))
+        assert not is_d_closure(cx, d)
+        assert _search(cx, KIND_SIMPLICIAL_ORDER, d, DEFAULT_BUDGET) is None
+        assert not brute_has_simplicial_order(cx, d)
+
+    @pytest.mark.parametrize(
+        "n, facets, d",
+        [
+            (3, [[1, 2]], 1),
+            (4, [[1, 2, 3], [1, 4], [2, 4]], 2),
+            (5, [[1, 2, 3, 4], [1, 5], [2, 5], [3, 5]], 3),
+        ],
+        ids=["vertex_missing", "edge_missing", "triangle_missing"],
+    )
+    def test_a_start_without_every_d_set_never_reaches_the_skeleton(self, n, facets, d):
+        # moves never add a face, so a start that lacks a d-subset of its
+        # ambient set never reaches the (d-1)-skeleton, though its moves
+        # remove every (d+1)-face; with the missing d-sets added it has
+        # an order
+        cx = SimplicialComplex.from_facets(n, facets)
+        filled = d_closure(cx, d)
+        order = find_simplicial_order(filled, d)
+        assert order is not None
+        assert not verify_sequence(cx, order, d)
+        assert _search(cx, KIND_SIMPLICIAL_ORDER, d, DEFAULT_BUDGET) is None
+        assert not brute_has_simplicial_order(cx, d)
 
     def test_budget_exhaustion_raises(self):
         # the messages reach the CLI's stderr word for word
@@ -453,25 +501,52 @@ class TestSearchPins:
         assert len(calls) == collapse_moves
 
     @pytest.mark.parametrize(
-        "cx, built", [(DUNCE, 0), (OCTAHEDRON_AND_MORE, 15)], ids=["dunce_hat", "octahedron_and_more"]
+        "cx, built, moves",
+        [(DUNCE, 0, 0), (OCTAHEDRON_AND_MORE, 15, 48)],
+        ids=["dunce_hat", "octahedron_and_more"],
     )
-    def test_dead_children_are_never_built(self, monkeypatch, cx, built):
-        # a failed order search builds each state it reaches once: on the
-        # octahedron, 15 of its 48 moves reach a new state and the other
-        # 33 land on a state known to fail, which is skipped unbuilt
+    def test_dead_children_are_never_built(self, monkeypatch, cx, built, moves):
+        # a failed order search expands each state it reaches once: on
+        # the octahedron, 15 of its 48 moves reach a new state and the
+        # other 33 land on a state known to fail, which is not expanded
+        closure = d_closure(cx, 2)
+        real = srchordal.chordality._dfs
+        states, steps = [], []
+
+        def watched(start, candidates, move, done, budget, kind):
+            def expanding(state):
+                states.append(state)
+                return candidates(state)
+
+            def moving(state, e):
+                steps.append(e)
+                return move(state, e)
+
+            return real(start, expanding, moving, done, budget, kind)
+
+        monkeypatch.setattr(srchordal.chordality, "_dfs", watched)
+        assert find_simplicial_order(closure, 2) is None
+        assert len(steps) == moves
+        assert len(states) == built + 1
+        assert len(set(states)) == built + 1
+
+    @pytest.mark.parametrize(
+        "cx", [OCTAHEDRON_AND_MORE, GADGET], ids=["octahedron_and_more", "budget_gadget"]
+    )
+    def test_a_failed_order_search_builds_no_complex(self, monkeypatch, cx):
+        # the order search moves on the (d+1)-faces alone; face_deletion
+        # is left to the replay of `verify_sequence`
         closure = d_closure(cx, 2)
         real = SimplicialComplex.face_deletion
-        states = []
+        calls = []
 
         def building(self, face):
-            out = real(self, face)
-            states.append(out.facets)
-            return out
+            calls.append(face)
+            return real(self, face)
 
         monkeypatch.setattr(SimplicialComplex, "face_deletion", building)
         assert find_simplicial_order(closure, 2) is None
-        assert len(states) == built
-        assert len(set(states) | {closure.facets}) == built + 1
+        assert calls == []
 
     def test_budget_gadget_tree_size(self):
         # the exhaustive order search behind the budget-exhausting
@@ -484,35 +559,37 @@ class TestSearchPins:
 
 class TestCarriedCounts:
     def test_carried_candidates_match_a_recount(self, monkeypatch):
-        # at every state an order search expands, the counts it carried
-        # from the parent state, and the candidates read off them, are
-        # those counted afresh from every facet; a failed search builds
-        # only the states it then expands, each once
-        read = srchordal.chordality._order_candidates
-        move = SimplicialComplex.face_deletion
-        expanded, built, moves = [], [], []
+        # at every state an order search expands, the candidates read off
+        # its (d+1)-faces are those counted afresh from every facet of the
+        # complex that replaying the moves to it with face_deletion
+        # builds; every path to one state builds one complex, and a
+        # failed search expands each state it reaches once, right after
+        # the move that first reaches it
+        expanded, moves = [], []
+        real = srchordal.chordality._dfs
 
-        def checked(cx, count):
-            assert count == _containing(cx.facets, (d,))
-            got = read(cx, count)
-            assert got == list(_candidates(KIND_SIMPLICIAL_ORDER, cx, d))
-            expanded.append(cx.facets)
-            return tried(got)
+        def watched(start, candidates, move, done, budget, kind):
+            built = {start: closure}
+            last = [start]
 
-        def tried(candidates):
-            # the search takes the face of each move from here, so the
-            # moves onto states known to fail, which build nothing, count
-            for e in candidates:
+            def expanding(state):
+                assert state == last[0]
+                got = list(candidates(state))
+                assert got == list(_candidates(KIND_SIMPLICIAL_ORDER, built[state], d))
+                expanded.append(state)
+                return got
+
+            def moving(state, e):
+                child = move(state, e)
+                cur = built[state].face_deletion(e)
+                assert built.setdefault(child, cur) == cur
+                last[0] = child
                 moves.append(e)
-                yield e
+                return child
 
-        def building(cx, e):
-            out = move(cx, e)
-            built.append(out.facets)
-            return out
+            return real(start, expanding, moving, done, budget, kind)
 
-        monkeypatch.setattr(srchordal.chordality, "_order_candidates", checked)
-        monkeypatch.setattr(SimplicialComplex, "face_deletion", building)
+        monkeypatch.setattr(srchordal.chordality, "_dfs", watched)
         verdicts, dead_hits = set(), 0
         for rng, cx in complex_draws(716, 1716, 50, 7):
             for d in (1, 2, 3):
@@ -521,18 +598,16 @@ class TestCarriedCounts:
                     closures.append(d_closure(plant_hole(rng, cx, d), d))
                 for closure in closures:
                     expanded.clear()
-                    built.clear()
                     moves.clear()
                     found = find_simplicial_order(closure, d)
                     if found is not None:
                         assert verify_sequence(closure, found, d)
                     elif expanded:
                         # each move of a failed search reaches a state
-                        # first built and expanded then, or one already
-                        # known to fail
-                        assert built == expanded[1:]
+                        # first expanded then, or one already known to
+                        # fail
                         assert len(set(expanded)) == len(expanded)
-                        dead_hits += len(moves) - len(built)
+                        dead_hits += len(moves) - (len(expanded) - 1)
                     verdicts.add(found is not None)
         assert verdicts == {False, True}
         assert dead_hits > 0
