@@ -163,18 +163,13 @@ def free_faces(cx: SimplicialComplex, max_dim: int) -> list[int]:
 
 def _free_faces(cx: SimplicialComplex, sizes: Sequence[int]) -> list[int]:
     """Free faces with a vertex count in `sizes`, ascending: the subsets
-    of an admitted size that lie in exactly one facet."""
-    return sorted(e for e, c in _containing(cx.facets, sizes).items() if c == 1)
-
-
-def _containing(facets: tuple[int, ...], sizes: Sequence[int]) -> Counter[int]:
-    """For each subset of a facet with a vertex count in `sizes`, how many
-    of the facets contain it, in one pass over the facets."""
+    of an admitted size that lie in exactly one facet, counted in one
+    pass over the facets."""
     count: Counter[int] = Counter()
-    for f in facets:
+    for f in cx.facets:
         for k in sizes:
             count.update(subsets_of_size(f, k))
-    return count
+    return sorted(e for e, c in count.items() if c == 1)
 
 
 def simplicial_faces(cx: SimplicialComplex, d: int) -> list[int]:
@@ -204,12 +199,8 @@ def is_d_collapsible(
     cx: SimplicialComplex, d: int, *, budget: int = DEFAULT_BUDGET
 ) -> FreeSequence | None:
     """Search for a free sequence of faces of dimension < d reducing the
-    complex to void; None when the complex is not d-collapsible.
-
-    Only inclusion-maximal free faces among the admissible ones are
-    branched on; this is sound because deleting a larger free face
-    preserves collapsibility whenever deleting a smaller one does.
-    """
+    complex to void; None when the complex is not d-collapsible. The
+    faces tried are those of `_collapse_rule`."""
     if d < 1:
         raise DimensionRangeError(f"collapsing parameter d must be >= 1, got {d}")
     return _search(cx, KIND_COLLAPSE, d, budget)
@@ -238,14 +229,23 @@ def _rule(
     )
 
 
-def _candidates(kind: str, cx: SimplicialComplex, d: int) -> Sequence[int]:
-    """The faces the search tries on cx, ascending: for a collapse the
-    inclusion-maximal free faces with at most d vertices, for a
-    simplicial order the free d-vertex faces that are not facets."""
-    if kind == KIND_COLLAPSE:
-        return maximal_elements(_free_faces(cx, range(d + 1)))
-    facets = set(cx.facets)
-    return [e for e in _free_faces(cx, (d,)) if e not in facets]
+def _collapse_rule(
+    cx: SimplicialComplex, d: int
+) -> tuple[SimplicialComplex, Callable, Callable, Callable]:
+    """The start state, candidates, move and goal of a collapse search on
+    cx, on states that are complexes: a move deletes a face with
+    everything above it, and the goal is the void complex, with no
+    facets left.
+
+    The candidates, ascending, are the inclusion-maximal free faces with
+    at most d vertices, recounted from every facet of the state. Only
+    those are branched on; this is sound because deleting a larger free
+    face preserves collapsibility whenever deleting a smaller one does."""
+
+    def candidates(cur: SimplicialComplex) -> tuple[int, ...]:
+        return maximal_elements(_free_faces(cur, range(d + 1)))
+
+    return cx, candidates, SimplicialComplex.delete_all, lambda cur: not cur.facets
 
 
 def _order_rule(cx: SimplicialComplex, d: int) -> tuple[int, Callable, Callable, Callable]:
@@ -364,7 +364,7 @@ def _search(cx: SimplicialComplex, kind: str, d: int, budget: int) -> FreeSequen
     candidates in ascending mask order and skipping states already known
     to fail; None when none exists. The caller has checked cx: a
     simplicial order needs a d-closure. Both kinds run the one loop
-    `_dfs` and differ in their states.
+    `_dfs`, on the rule of their kind, and differ in their states.
 
     A simplicial-order state is one int, the (d+1)-faces of cx still
     present (`_order_rule`), so no move builds a complex. That int fixes
@@ -381,18 +381,12 @@ def _search(cx: SimplicialComplex, kind: str, d: int, budget: int) -> FreeSequen
     are equal. The memo of failed states holds these ints, and the
     candidates and the goal are read off them.
 
-    A collapse state is the complex itself: the memo holds complexes,
-    and its candidates are recounted from every facet. Its moves remove
-    faces of every size, so no one level of faces fixes the state.
-    Carrying its counts over every admitted size waits until the
-    benchmark harness stops keeping every round's output, whose memory
-    grows with the rounds a faster search fits in.
+    A collapse state is the complex itself (`_collapse_rule`): the memo
+    holds complexes, and its candidates are recounted from every facet.
+    Its moves remove faces of every size, so no one level of faces fixes
+    the state.
     """
-    if kind == KIND_COLLAPSE:
-        rule = (cx, lambda cur: _candidates(kind, cur, d), SimplicialComplex.delete_all,
-                lambda cur: not cur.facets)
-    else:
-        rule = _order_rule(cx, d)
+    rule = (_collapse_rule if kind == KIND_COLLAPSE else _order_rule)(cx, d)
     faces = _dfs(*rule, budget, kind)
     return None if faces is None else FreeSequence(kind, d, faces)
 

@@ -36,10 +36,15 @@ MAX_VERTICES = 64
 
 
 def as_mask(face) -> int:
-    """Coerce a face given as a mask or an iterable of vertex labels."""
+    """Coerce a face given as a mask or an iterable of vertex labels.
+    A label below 1 raises VertexRangeError; the bound above is n, which
+    the caller checks."""
     if isinstance(face, int):
         return face
-    return mask_from_vertices(face)
+    labels = tuple(face)
+    if any(v < 1 for v in labels):
+        raise VertexRangeError(f"vertex labels must be >= 1, got {list(labels)}")
+    return mask_from_vertices(labels)
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)

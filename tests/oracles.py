@@ -279,6 +279,21 @@ def brute_d_closure(cx: SimplicialComplex, d: int) -> SimplicialComplex:
     return SimplicialComplex(cx.n, closure_faces, ambient=amb)
 
 
+def brute_free_nonfacet_d_sets(cx: SimplicialComplex, d: int) -> list[int]:
+    """The faces a simplicial-order search may move at on cx, ascending,
+    by definition: the d-vertex subsets of a facet that are no facet and
+    lie in exactly one facet."""
+    d_sets = {
+        sum(1 << (v - 1) for v in combo)
+        for f in cx.facets
+        for combo in combinations(iter_vertices(f), d)
+    }
+    return sorted(
+        e for e in d_sets
+        if e not in cx.facets and sum(1 for f in cx.facets if e & ~f == 0) == 1
+    )
+
+
 def brute_is_d_collapsible(cx: SimplicialComplex, d: int) -> bool:
     """d-collapsibility by definition, without pruning: the void complex
     is d-collapsible, and so is a complex in which deleting some free

@@ -353,6 +353,7 @@ class TestRegularity:
 
         with pytest.raises(ZeroIdealError):
             BettiTable.from_dict({}, GF2).regularity()
+        assert BettiTable.from_dict({}, GF2).pretty() == "(empty table)"
 
 
 class TestLinearResolution:
@@ -368,6 +369,11 @@ class TestLinearResolution:
     def test_requires_equigenerated(self):
         with pytest.raises(NotEquigeneratedError):
             has_linear_resolution(SquarefreeIdeal(3, [[1], [2, 3]]), GF2)
+
+    def test_zero_ideal_signalled(self):
+        for check in (nonlinear_witness, has_linear_resolution):
+            with pytest.raises(ZeroIdealError, match=r"^the zero ideal has no resolution$"):
+                check(SquarefreeIdeal.zero(3), GF2)
 
     def test_witness_of_two_disjoint_edges(self):
         # Δ on {1,2,3,4} is the 4-cycle: H̃_1 = 1 gives beta_{1,4}, off j = i + 2
@@ -390,6 +396,10 @@ class TestComponentwiseLinear:
     def test_mixed_degrees_true(self):
         assert is_componentwise_linear(SquarefreeIdeal(3, [[1], [2, 3]]), GF2)
         assert is_componentwise_linear(SquarefreeIdeal(3, [[1], [2, 3]]), CHAR0)
+
+    def test_zero_ideal_signalled(self):
+        with pytest.raises(ZeroIdealError, match=r"^the zero ideal is not classified$"):
+            is_componentwise_linear(SquarefreeIdeal.zero(3), GF2)
 
     def test_four_cycle_false_both_fields(self):
         cycle = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])

@@ -34,9 +34,8 @@ from srchordal import (
 from srchordal.bitsets import subsets_of_size
 from srchordal.chordality import (
     DEFAULT_BUDGET,
-    KIND_COLLAPSE,
     KIND_SIMPLICIAL_ORDER,
-    _candidates,
+    _collapse_rule,
     _free_faces,
     _search,
 )
@@ -55,7 +54,12 @@ from generators import (
     random_d_closure,
     random_small_facet_complex,
 )
-from oracles import brute_d_closure, brute_has_simplicial_order, brute_is_d_collapsible
+from oracles import (
+    brute_d_closure,
+    brute_free_nonfacet_d_sets,
+    brute_has_simplicial_order,
+    brute_is_d_collapsible,
+)
 
 EX0 = SimplicialComplex.from_facets(5, EX0_FACETS)
 HOLLOW = SimplicialComplex.from_facets(4, HOLLOW_TETRA_FACETS)
@@ -241,8 +245,17 @@ class TestSimplicialFaces:
         with pytest.raises(NotAClosureError):
             simplicial_faces(HOLLOW, 1)
 
+    def test_rejects_bad_d(self):
+        with pytest.raises(DimensionRangeError, match=r"^closure parameter d must be >= 1, got 0$"):
+            is_d_closure(EX0, 0)
+
 
 class TestFindSimplicialOrder:
+    def test_requires_closure(self):
+        # the hollow tetrahedron lacks its 1-closure's triangles
+        with pytest.raises(NotAClosureError, match=r"^complex is not a 1-closure$"):
+            find_simplicial_order(HOLLOW, 1)
+
     def test_example1_order_is_valid_and_search_succeeds(self):
         closure = d_closure(EX0, 2)
         paper = FreeSequence(
@@ -389,6 +402,12 @@ class TestIsDCollapsible:
     def test_hollow_tetrahedron_not_1_collapsible(self):
         assert is_d_collapsible(HOLLOW, 1) is None
 
+    def test_rejects_bad_d(self):
+        with pytest.raises(
+            DimensionRangeError, match=r"^collapsing parameter d must be >= 1, got 0$"
+        ):
+            is_d_collapsible(EX0, 0)
+
     def test_full_simplex_collapsible(self):
         for n in (1, 2, 4):
             for d in (1, 2):
@@ -434,7 +453,8 @@ class TestIsDCollapsible:
             for d in range(1, 5):
                 small = [f for f in cx.facets if f.bit_count() < d]
                 expected = sorted(small + _free_faces(cx, (d,)))
-                assert list(_candidates(KIND_COLLAPSE, cx, d)) == expected
+                start, candidates, _, _ = _collapse_rule(cx, d)
+                assert list(candidates(start)) == expected
 
     def test_fig4_is_2_collapsible_with_unique_free_edge(self):
         frees = [e for e in free_faces(FIG4, 1)]
@@ -557,14 +577,14 @@ class TestSearchPins:
             find_simplicial_order(closure, 2, budget=43_007)
 
 
-class TestCarriedCounts:
-    def test_carried_candidates_match_a_recount(self, monkeypatch):
+class TestOrderCandidates:
+    def test_candidates_read_off_the_state_match_a_recount(self, monkeypatch):
         # at every state an order search expands, the candidates read off
-        # its (d+1)-faces are those counted afresh from every facet of the
-        # complex that replaying the moves to it with face_deletion
-        # builds; every path to one state builds one complex, and a
-        # failed search expands each state it reaches once, right after
-        # the move that first reaches it
+        # its (d+1)-faces are the free non-facet d-sets counted afresh
+        # from every facet of the complex that replaying the moves to it
+        # with face_deletion builds; every path to one state builds one
+        # complex, and a failed search expands each state it reaches
+        # once, right after the move that first reaches it
         expanded, moves = [], []
         real = srchordal.chordality._dfs
 
@@ -575,7 +595,7 @@ class TestCarriedCounts:
             def expanding(state):
                 assert state == last[0]
                 got = list(candidates(state))
-                assert got == list(_candidates(KIND_SIMPLICIAL_ORDER, built[state], d))
+                assert got == brute_free_nonfacet_d_sets(built[state], d)
                 expanded.append(state)
                 return got
 

@@ -295,11 +295,15 @@ class TestExitStatus:
             ("sigma", "x\u0661 x2\n", "line 1: bad monomial token 'x\u0661'"),
             ("betti", "x1^\u0662 x2\n", "line 1: bad monomial token 'x1^\u0662'"),
             ("sigma", "x1^\u0662 x2\n", "line 1: bad monomial token 'x1^\u0662'"),
+            # a header and no monomials: the zero ideal
+            ("classify", "n=3\n", "the zero ideal is not classified"),
+            ("cwl", "n=3\n", "the zero ideal is not classified"),
+            ("sigma", "n=3\n", "the zero ideal has no σ pipeline"),
         ],
         ids=["infer_squarefree", "infer_monomial", "exceeds_squarefree", "exceeds_monomial",
              "exponent", "repeated", "arabic_header_betti", "arabic_header_sigma",
              "arabic_variable_betti", "arabic_variable_sigma", "arabic_exponent_betti",
-             "arabic_exponent_sigma"],
+             "arabic_exponent_sigma", "zero_classify", "zero_cwl", "zero_sigma"],
     )
     def test_whole_input_ideal_errors(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "ideal.txt"
@@ -309,6 +313,32 @@ class TestExitStatus:
         assert code == EXIT_INPUT
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, data, message",
+        [
+            (["collapsible", "--d", "0"], {"n": 5, "facets": EX0_FACETS},
+             "collapsing parameter d must be >= 1, got 0"),
+            (["dual"], {"n": 3, "facets": [[1, 4]]}, "facet vertices (4,) outside the ambient set"),
+        ],
+        ids=["collapsible_d_0", "facet_above_n"],
+    )
+    def test_complex_input_errors(self, tmp_path, capsys, argv, data, message):
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(data))
+        code = main([argv[0], str(path), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_stray_positional_argument_is_rejected(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dual", files["ex0"], "extra"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.endswith("srchordal: error: unrecognized arguments: extra\n")
 
     def test_workers_is_rejected(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -442,6 +472,17 @@ class TestSubcommands:
         assert json.loads(out) == {
             "experiment": "q2", "d": 2, "seed": 1, "trials": 20,
             "chordal_closures": 20, "checked_pairs": 122, "counterexamples": [],
+        }
+
+    def test_experiment_q2_skips_a_closure_without_an_order(self, capsys):
+        # the last of these 26 trials draws the chordless 4-cycle, whose
+        # 1-closure is itself and has no simplicial order
+        argv = ["experiment", "q2", "--seed", "8", "--trials", "26", "--d", "1", "--max-n", "4"]
+        code, out = run(argv, capsys)
+        assert code == EXIT_OK
+        assert json.loads(out) == {
+            "experiment": "q2", "d": 1, "seed": 8, "trials": 26,
+            "chordal_closures": 25, "checked_pairs": 61, "counterexamples": [],
         }
 
     def test_sigma(self, files, capsys):

@@ -12,9 +12,12 @@ from srchordal import (
     FormatError,
     NotAFaceError,
     SimplicialComplex,
+    SquarefreeIdeal,
     VertexRangeError,
     VoidComplexError,
+    as_mask,
     mask_from_vertices,
+    simplex_skeleton,
     vertices_from_mask,
 )
 import srchordal.complexes
@@ -54,6 +57,7 @@ class TestConstruction:
         cx = SimplicialComplex.from_facets(2, [])
         assert cx.is_void and cx.facets == ()
         assert cx.dim == -2
+        assert repr(cx) == "SimplicialComplex(n=2, VOID)"
 
     def test_void_vs_empty_are_distinct(self):
         void = SimplicialComplex.void(2)
@@ -70,6 +74,26 @@ class TestConstruction:
             SimplicialComplex.from_facets(65, [[1]])
         with pytest.raises(VertexRangeError):
             SimplicialComplex.from_facets(0, [])
+        with pytest.raises(VertexRangeError, match=r"^ambient set contains labels outside 1\.\.n$"):
+            SimplicialComplex(3, [], ambient=0b1000)
+
+    def test_labels_below_one_are_vertex_range_errors(self):
+        # every face given as labels goes through as_mask, which names
+        # the labels; a mask is taken as it is
+        with pytest.raises(VertexRangeError) as exc:
+            SimplicialComplex(3, [[0]])
+        assert str(exc.value) == "vertex labels must be >= 1, got [0]"
+        cx = SimplicialComplex(3, [[1, 2]])
+        for make in (
+            lambda: cx.is_face([0]),
+            lambda: cx.induced([0]),
+            lambda: cx.delete_all((-1, 2)),
+            lambda: SquarefreeIdeal(3, [[0, 1]]),
+        ):
+            with pytest.raises(VertexRangeError, match="must be >= 1"):
+                make()
+        assert as_mask(iter([3, 1])) == 0b101
+        assert as_mask(0b110) == 0b110
 
     def test_antichain_invariant_random(self):
         for _, cx in complex_draws(101, 1101, 200, 7, allow_void=True):
@@ -97,6 +121,13 @@ class TestIsFace:
                     continue
                 assert cx.is_face(sub) == (sub in faces)
 
+    def test_vertices_outside_one_to_n(self):
+        cx = SimplicialComplex(3, [[1, 2, 3]])
+        with pytest.raises(VertexRangeError, match=r"^face \[4\] has vertices outside 1\.\.3$"):
+            cx.is_face([4])
+        with pytest.raises(VertexRangeError, match=r"^face -1 has vertices outside 1\.\.3$"):
+            cx.is_face(-1)
+
 
 class TestPureSkeleton:
     def test_triangle_edges(self):
@@ -120,6 +151,11 @@ class TestPureSkeleton:
             cx.pure_skeleton(3)
         with pytest.raises(DimensionRangeError):
             cx.pure_skeleton(-1)
+
+    def test_simplex_skeleton_below_the_empty_face(self):
+        assert simplex_skeleton(3, 0b111, -1).is_empty_complex
+        with pytest.raises(DimensionRangeError, match=r"^skeleton dimension -2 below -1$"):
+            simplex_skeleton(3, 0b111, -2)
 
 
 class TestInduced:
@@ -333,9 +369,10 @@ class TestSerialization:
              "each facet must be a list of integer vertex labels in 1..64"),
             ({"n": 3, "facets": "[[1]]"}, '"facets" must be null or a list of vertex lists'),
             ({"n": 3, "facets": {"1": [1]}}, '"facets" must be null or a list of vertex lists'),
+            ({"n": 3, "facets": [[4]]}, "facet vertices (4,) outside the ambient set"),
         ],
         ids=["no_facets", "no_n", "not_an_object", "facet_not_a_list", "facets_string",
-             "facets_object"],
+             "facets_object", "facet_outside_n"],
     )
     def test_rejections(self, data, message):
         with pytest.raises(FormatError) as exc:

@@ -76,6 +76,25 @@ class TestStableCheckers:
         with pytest.raises(ZeroIdealError):
             is_squarefree_stable(SquarefreeIdeal.zero(3))
 
+    @pytest.mark.parametrize(
+        "check, zero, message",
+        [
+            (is_squarefree_strongly_stable, SquarefreeIdeal.zero(3),
+             "stability of the zero ideal is undefined"),
+            (is_strongly_stable, MonomialIdeal(3), "stability of the zero ideal is undefined"),
+            (gotzmann_decomposition, SquarefreeIdeal.zero(3),
+             "the zero ideal has no block decomposition"),
+            (sigma_pipeline, MonomialIdeal(3), "the zero ideal has no σ pipeline"),
+            (classify, SquarefreeIdeal.zero(3), "the zero ideal is not classified"),
+        ],
+        ids=["strongly_stable", "monomial_strongly_stable", "gotzmann", "sigma_pipeline",
+             "classify"],
+    )
+    def test_zero_ideal_rejected_by_every_checker(self, check, zero, message):
+        with pytest.raises(ZeroIdealError) as exc:
+            check(zero)
+        assert str(exc.value) == message
+
     def test_agree_with_the_exchange_over_every_member(self):
         rng = random.Random(513)
         stable, strongly = [], []

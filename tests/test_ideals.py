@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srchordal import (
+    DimensionRangeError,
     FormatError,
     Monomial,
     MonomialIdeal,
     SimplicialComplex,
     SquarefreeIdeal,
+    VertexRangeError,
     VoidComplexError,
     ZeroIdealError,
     d_closure,
@@ -244,6 +246,54 @@ class TestTextFormat:
             parse_squarefree_ideal("y3\n")
         with pytest.raises(FormatError):
             parse_squarefree_ideal("n=2\nx3\n")
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (lambda: SquarefreeIdeal(0), VertexRangeError, "variable count must be in 1..64, got 0"),
+            (lambda: SquarefreeIdeal(65), VertexRangeError,
+             "variable count must be in 1..64, got 65"),
+            (lambda: SquarefreeIdeal(3, [[2, 4]]), VertexRangeError,
+             "generator (2, 4) uses variables outside 1..3"),
+            (lambda: SquarefreeIdeal.zero(3).min_degree(), ZeroIdealError,
+             "the zero ideal has no generator degrees"),
+            (lambda: SquarefreeIdeal.zero(3).max_degree(), ZeroIdealError,
+             "the zero ideal has no generator degrees"),
+            (lambda: stanley_reisner_ideal(EX0.induced([1, 2, 3])), VertexRangeError,
+             "Stanley-Reisner ideal needs a complex ambient on all of 1..n"),
+            (lambda: degree_component(SquarefreeIdeal(3, [[1]]), 0), DimensionRangeError,
+             "degree component needs j >= 1, got 0"),
+            (lambda: truncation_leq(SquarefreeIdeal(3, [[1]]), -1), DimensionRangeError,
+             "truncation needs k >= 0, got -1"),
+            (lambda: Monomial([1, -1]), ValueError, "exponents must be nonnegative"),
+            (lambda: MonomialIdeal(0), VertexRangeError, "variable count must be in 1..64, got 0"),
+            (lambda: MonomialIdeal(65), VertexRangeError,
+             "variable count must be in 1..64, got 65"),
+            (lambda: MonomialIdeal(2, [Monomial([1, 0, 0])]), VertexRangeError,
+             "generator exponent vector has the wrong length"),
+            (lambda: MonomialIdeal(2, [Monomial([0, 0])]), ZeroIdealError,
+             "the unit generator 1 is not allowed"),
+            (lambda: MonomialIdeal(2).max_degree(), ZeroIdealError,
+             "the zero ideal has no generator degrees"),
+        ],
+        ids=["squarefree_n_0", "squarefree_n_65", "generator_above_n", "zero_min_degree",
+             "zero_max_degree", "sr_ideal_of_an_induced_complex", "degree_component_j_0",
+             "truncation_k_negative", "negative_exponent", "monomial_n_0", "monomial_n_65",
+             "exponent_vector_length", "unit_monomial_generator", "zero_monomial_max_degree"],
+    )
+    def test_rejections(self, make, error, message):
+        with pytest.raises(error) as exc:
+            make()
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    def test_unit_monomial_and_zero_ideal_values(self):
+        # 1 is divided by no variable; the square-free operator takes the
+        # zero ideal to the zero ideal on the same variables
+        assert Monomial([0, 0]).max_index() == 0
+        assert squarefree_operator(MonomialIdeal(3)) == SquarefreeIdeal.zero(3)
 
 
 class TestInvariants:
