@@ -42,16 +42,19 @@ ambient set.
 
 Over the rationals the walk ranks every boundary map mod 2 first, and
 ranks a map over Q only where GF(2) leaves its rank open. This is the
-universal coefficient theorem read through ranks. The GF(2) boundary
-rows are the integer rows mod 2, and a minor that is nonzero mod 2 is a
-nonzero integer, so rank_Q ≥ rank_GF(2) for every map, and the reduced
-homology over Q is no larger than over GF(2) in every degree. At a size
-s with no GF(2) homology, c_s - r_s - r_{s+1} = 0 over both fields (c_s
-faces of size s, r_s the rank of the map leaving size s), and neither
-rank can have grown over Q. So only a map whose source and target sizes
-both carry GF(2) homology needs a rank over Q; that takes 2-torsion, as
-in the real projective plane. Over GF(p), p odd, every rank is taken
-mod p.
+universal coefficient theorem read through ranks, and the rank bound
+the rest of the module relies on. The GF(2) boundary rows are the
+integer rows mod 2, and a minor that is nonzero mod 2 is a nonzero
+integer, so rank_Q ≥ rank_GF(2) for every map, and the reduced homology
+over Q is no larger than over GF(2) in every degree. At a size s with
+no GF(2) homology, c_s - r_s - r_{s+1} = 0 over both fields (c_s faces
+of size s, r_s the rank of the map leaving size s), and neither rank
+can have grown over Q. So only a map whose source and target sizes both
+carry GF(2) homology needs a rank over Q; that takes 2-torsion, as in
+the real projective plane. A char-0 chain therefore keeps the GF(2)
+rows alone and builds the signed rows of such a map, for the faces
+inside W, only when it ranks it. Over GF(p), p odd, the chain keeps
+signed rows and every rank is taken mod p.
 
 The same bound, degree by degree, spares char 0 most of its walks. By
 Hochster's formula each Betti number over Q is at most the one over
@@ -90,8 +93,7 @@ _FIELD_RE = re.compile(r"gf(?:p:)?([0-9]{1,10})")  # 2^31 has 10 digits
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
+    """Primality of p >= 2."""
     if p % 2 == 0:
         return p == 2
     f = 3
@@ -102,7 +104,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class FieldSpec:
     """Coefficient field: characteristic 0 (exact rationals) or GF(p)."""
 
@@ -137,40 +139,40 @@ GF2 = FieldSpec(2)
 CHAR0 = FieldSpec(0)
 
 
+def _signed_row(face: int, index: dict[int, int]) -> dict[int, int]:
+    """The boundary of a face over the integers as {column: ±1}, its
+    faces one size smaller numbered by `index`."""
+    row = {}
+    sign = 1
+    for v in iter_vertices(face):
+        row[index[face & ~(1 << (v - 1))]] = sign
+        sign = -sign
+    return row
+
+
 class _ChainComplex:
     """The reduced chain complex of a complex, listed face by face and
     restricted to any vertex set.
 
-    `faces[k]` holds the listed faces with k + 1 vertices. Their
-    boundary rows over the faces one size smaller number those faces in
-    the order they were listed, one numbering per size. `bits[k]` holds
-    them as bitmask rows over GF(2), kept over GF(2) and over the
-    rationals; `signed[k]` as sparse dicts {column: ±1}, kept over every
-    field but GF(2). A face is listed after its boundary, and a listed
-    face keeps its rows and column, so the complex can grow a vertex at
-    a time. The restriction to W keeps the faces inside W and their
-    rows. The boundary of a face inside W lies inside W, so the columns
-    of the faces left out are zero in every kept row.
-
-    Over the rationals `reduced_homology` ranks the bit rows first, and
-    this is exact. The bit rows are the signed rows mod 2, and a minor
-    that is nonzero mod 2 is a nonzero integer, so each boundary map has
-    rank over Q at least its rank over GF(2). With c_s faces of size s
-    inside W and r_s the rank of the map leaving size s, the homology
-    c_s - r_s - r_{s+1} at size s is then no larger over Q than over
-    GF(2). Where it is zero over GF(2) it is zero over Q, so neither rank
-    next to s grew. A map can have a larger rank over Q only if its
-    source size and its target size both carry GF(2) homology, as with
-    the 2-torsion of RP^2, and only such maps get `int_rank`.
+    `faces[k]` holds the listed faces with k + 1 vertices, and `rows[k]`
+    their boundary rows over the faces one size smaller, which are
+    numbered in the order they were listed, one numbering per size. The
+    rows are in the format the field ranks: bitmasks over GF(2) and over
+    the rationals, whose maps are ranked mod 2 first (see the module
+    docstring), and dicts from `_signed_row` over odd p. A face is listed
+    after its boundary, and a listed face keeps its row and column, so
+    the complex can grow a vertex at a time. The restriction to W keeps
+    the faces inside W and their rows. The boundary of a face inside W
+    lies inside W, so the columns of the faces left out are zero in every
+    kept row.
     """
 
-    __slots__ = ("characteristic", "faces", "bits", "signed", "columns")
+    __slots__ = ("characteristic", "faces", "rows", "columns")
 
     def __init__(self, field: FieldSpec):
         self.characteristic = field.characteristic
         self.faces: list[list[int]] = []
-        self.bits: list[list[int]] = []
-        self.signed: list[list[dict[int, int]]] = []
+        self.rows: list[list] = []
         self.columns: list[dict[int, int]] = [{0: 0}]  # by size; the empty face first
 
     @classmethod
@@ -184,29 +186,21 @@ class _ChainComplex:
         """List faces with k + 1 vertices, whose boundary faces are listed."""
         if k == len(self.faces):
             self.faces.append([])
-            self.bits.append([])
-            self.signed.append([])
+            self.rows.append([])
             self.columns.append({})
         index = self.columns[k]
         column = self.columns[k + 1]
         listed = self.faces[k]
-        bits = self.bits[k]
-        signed = self.signed[k]
-        keep_bits = self.characteristic in (0, 2)
-        keep_signed = self.characteristic != 2
+        rows = self.rows[k]
+        signed = self.characteristic % 2
         for face in faces:
-            if keep_bits:
+            if signed:
+                rows.append(_signed_row(face, index))
+            else:
                 vec = 0
                 for v in iter_vertices(face):
                     vec |= 1 << index[face & ~(1 << (v - 1))]
-                bits.append(vec)
-            if keep_signed:
-                row = {}
-                sign = 1
-                for v in iter_vertices(face):
-                    row[index[face & ~(1 << (v - 1))]] = sign
-                    sign = -sign
-                signed.append(row)
+                rows.append(vec)
             column[face] = len(listed)
             listed.append(face)
 
@@ -231,23 +225,23 @@ class _ChainComplex:
         degree from -1 to the dimension of the restriction."""
         outside = ~w
         p = self.characteristic
-        mod2 = p in (0, 2)
         counts = [1]  # faces inside W by size; the empty face is always there
         ranks = [0]  # ranks of the boundary maps by size of the faces mapped
-        for faces, rows in zip(self.faces, self.bits if mod2 else self.signed):
+        for faces, rows in zip(self.faces, self.rows):
             inside = [row for face, row in zip(faces, rows) if not face & outside]
             if not inside:
                 break
             counts.append(len(inside))
-            ranks.append(gf2_rank(inside) if mod2 else gfp_rank(inside, p))
+            ranks.append(gfp_rank(inside, p) if p % 2 else gf2_rank(inside))
         ranks.append(0)
         homology = [counts[s] - ranks[s] - ranks[s + 1] for s in range(len(counts))]
         if p == 0:
             for s in range(1, len(counts)):
                 if homology[s - 1] and homology[s]:  # GF(2) homology at both ends
+                    index = self.columns[s - 1]
                     ranks[s] = int_rank([
-                        row
-                        for face, row in zip(self.faces[s - 1], self.signed[s - 1])
+                        _signed_row(face, index)
+                        for face in self.faces[s - 1]
                         if not face & outside
                     ])
             homology = [counts[s] - ranks[s] - ranks[s + 1] for s in range(len(counts))]
@@ -264,7 +258,7 @@ def reduced_homology_dims(cx: SimplicialComplex, field: FieldSpec = GF2) -> dict
     return _ChainComplex.of_complex(cx, field).reduced_homology(cx.ambient)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class BettiTable:
     """Graded Betti numbers; zero entries are absent from `entries`."""
 
@@ -467,12 +461,8 @@ def linear_by_field(
     `has_linear_resolution` or `is_componentwise_linear`, in the order of
     `fields`, with char 0 taken from a GF(2) "linear" listed before it.
 
-    Every Betti number over Q is at most the one over GF(2) (Hochster's
-    formula and the rank bound of `_ChainComplex`), so a resolution that
-    is linear over GF(2) is linear over Q, and so is each degree
-    component. A GF(2) "not linear" decides nothing over Q: 2-torsion, as
-    in RP^2, gives GF(2) entries that Q lacks, so char 0 then gets its own
-    walk, and so does every odd p.
+    The rank bound of the module docstring is why a GF(2) "linear"
+    carries over, and why a GF(2) "not linear" does not.
     """
     verdicts: dict[str, bool] = {}
     for field in fields:

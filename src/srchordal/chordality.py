@@ -58,7 +58,7 @@ KIND_SIMPLICIAL_ORDER = "simplicial_order"
 _SEARCH_NAMES = {KIND_COLLAPSE: "collapsing", KIND_SIMPLICIAL_ORDER: "simplicial-order"}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class FreeSequence:
     """A replayable certificate: an ordered list of faces to delete.
 
@@ -88,7 +88,7 @@ class FreeSequence:
             faces = data["faces"]
         except (KeyError, TypeError) as exc:
             raise FormatError('certificate JSON needs "kind", "d" and "faces"') from exc
-        if kind not in _SEARCH_NAMES:
+        if not isinstance(kind, str) or kind not in _SEARCH_NAMES:
             raise FormatError(f"unknown certificate kind {kind!r}")
         if type(d) is not int or d < 1:
             raise FormatError('"d" must be a positive integer')

@@ -50,7 +50,7 @@ from .chordality import (
     verify_sequence,
 )
 from .complexes import SimplicialComplex
-from .errors import SearchBudgetExceeded, SRChordalError
+from .errors import FormatError, SearchBudgetExceeded, SRChordalError
 from .families import classify, sigma_pipeline
 from .ideals import format_squarefree_ideal, parse_monomial_ideal, parse_squarefree_ideal
 from .bitsets import vertices_from_mask
@@ -62,18 +62,28 @@ EXIT_BUDGET = 3
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"input is not valid UTF-8: {exc}") from exc
+
+
+def _load_json(path: str, what: str):
+    """The JSON value in the input at `path`. Besides syntax errors,
+    json.loads raises ValueError for an integer of more digits than int()
+    converts and RecursionError for deep nesting."""
+    text = _read_input(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _load_complex(path: str) -> SimplicialComplex:
-    try:
-        data = json.loads(_read_input(path))
-    except json.JSONDecodeError as exc:
-        raise SRChordalError(f"complex input is not valid JSON: {exc}") from exc
-    return SimplicialComplex.from_json_dict(data)
+    return SimplicialComplex.from_json_dict(_load_json(path, "complex input"))
 
 
 def _fields_for(choice: str) -> list[FieldSpec]:
@@ -224,11 +234,7 @@ def _run_collapsible(args) -> _Result:
 
 def _run_verify(args) -> _Result:
     cx = _load_complex(args.input)
-    try:
-        cert_data = json.loads(_read_input(args.certificate))
-    except json.JSONDecodeError as exc:
-        raise SRChordalError(f"certificate is not valid JSON: {exc}") from exc
-    seq = FreeSequence.from_json_dict(cert_data)
+    seq = FreeSequence.from_json_dict(_load_json(args.certificate, "certificate"))
     ok = verify_sequence(cx, seq, seq.d)
     return ok, {"valid": ok}, f"valid: {ok}"
 

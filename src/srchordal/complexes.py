@@ -37,17 +37,19 @@ MAX_VERTICES = 64
 
 def as_mask(face) -> int:
     """Coerce a face given as a mask or an iterable of vertex labels.
-    A label below 1 raises VertexRangeError; the bound above is n, which
-    the caller checks."""
+    A label that is not an int (a bool is not one) or is below 1 raises
+    VertexRangeError; the bound above is n, which the caller checks."""
     if isinstance(face, int):
         return face
     labels = tuple(face)
+    if not all(type(v) is int for v in labels):
+        raise VertexRangeError(f"vertex labels must be integers, got {list(labels)}")
     if any(v < 1 for v in labels):
         raise VertexRangeError(f"vertex labels must be >= 1, got {list(labels)}")
     return mask_from_vertices(labels)
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class SimplicialComplex:
     """A simplicial complex determined by its facet antichain.
 

@@ -134,7 +134,7 @@ def is_vertex_decomposable(cx: SimplicialComplex) -> bool:
     return rec(cx)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class GotzmannDecomposition:
     """Nested-block form m1(Z1) + m1m2(Z2) + ... + m1···ms(Zs).
 
@@ -238,7 +238,7 @@ def classify(ideal: SquarefreeIdeal, *, budget: int = DEFAULT_BUDGET) -> dict:
     vertex decomposable => chordal complex => componentwise linear).
     Componentwise linearity is reported over GF(2) and char 0, and char
     0 takes a GF(2) "true" without a walk of its own: every Betti number
-    over Q is at most the one over GF(2) (see `linear_by_field`), so
+    over Q is at most the one over GF(2) (see the `betti` module), so
     only an ideal that fails over GF(2) is walked again over Q.
     `budget` bounds each chordality search, each d-closure and each LCM
     lattice of the componentwise linearity check.

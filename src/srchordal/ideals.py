@@ -29,7 +29,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class SquarefreeIdeal:
     """Minimal square-free generating set over variables x1..xn.
 
@@ -145,7 +145,7 @@ def truncation_leq(ideal: SquarefreeIdeal, k: int) -> SquarefreeIdeal:
 # -- general monomials and the square-free operator ----------------------
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class Monomial:
     """A monomial as an exponent tuple of fixed length n."""
 
@@ -171,13 +171,6 @@ class Monomial:
     def divides(self, other: "Monomial") -> bool:
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
-    def variable_multiset(self) -> tuple[int, ...]:
-        """Indices i1 <= i2 <= ... <= it with u = x_{i1}···x_{it}."""
-        out = []
-        for i, e in enumerate(self.exponents, start=1):
-            out.extend([i] * e)
-        return tuple(out)
-
     def __repr__(self) -> str:
         parts = [
             f"x{i}" if e == 1 else f"x{i}^{e}"
@@ -187,7 +180,7 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class MonomialIdeal:
     """Monomial ideal given by its minimal generators (exponent tuples)."""
 
@@ -231,10 +224,14 @@ class MonomialIdeal:
 
 
 def sigma_image(monomial: Monomial) -> int:
-    """Support mask of u^σ = x_{i1} x_{i2+1} ··· x_{it+(t-1)}."""
+    """Support mask of u^σ = x_{i1} x_{i2+1} ··· x_{it+(t-1)}, where
+    u = x_{i1}···x_{it} with i1 <= ... <= it. The e factors of x_i that
+    follow t' earlier factors land on the run of e bits from bit i - 1 + t'."""
     m = 0
-    for k, i in enumerate(monomial.variable_multiset()):
-        m |= 1 << (i + k - 1)
+    before = 0
+    for i, e in enumerate(monomial.exponents):
+        m |= ((1 << e) - 1) << (i + before)
+        before += e
     return m
 
 
@@ -248,6 +245,8 @@ def squarefree_operator(ideal: MonomialIdeal) -> SquarefreeIdeal:
     if ideal.is_zero:
         return SquarefreeIdeal.zero(ideal.n)
     n_out = ideal.n + ideal.max_degree() - 1
+    if n_out > MAX_VERTICES:  # checked before a mask of n_out bits is built
+        raise VertexRangeError(f"variable count must be in 1..{MAX_VERTICES}, got {n_out}")
     return SquarefreeIdeal(n_out, [sigma_image(g) for g in ideal.gens])
 
 

@@ -131,6 +131,31 @@ class TestReducedHomology:
         assert reduced_homology_dims(rp2, CHAR0)[2] == 0
         assert reduced_homology_dims(rp2, FieldSpec(3))[1] == 0
 
+    def test_char0_chain_signs_only_the_map_it_ranks_over_q(self, monkeypatch):
+        # A char-0 chain keeps the GF(2) rows alone. On RP^2 both sizes of
+        # the map from triangles to edges carry GF(2) homology, so that map
+        # alone is ranked over Q, on signed rows built for it.
+        import srchordal.betti
+        from srchordal.betti import _ChainComplex, _signed_row
+
+        calls = []
+        real = srchordal.betti.int_rank
+
+        def counting(rows):
+            calls.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(srchordal.betti, "int_rank", counting)
+        rp2 = SimplicialComplex.from_facets(6, RP2_FACETS)
+        chain = _ChainComplex.of_complex(rp2, CHAR0)
+        assert all(type(row) is int for rows in chain.rows for row in rows)
+        assert chain.reduced_homology(rp2.ambient) == {-1: 0, 0: 0, 1: 0, 2: 0}
+        triangles = chain.faces[2]
+        assert sorted(triangles) == sorted(rp2.facets)
+        assert calls == [[_signed_row(f, chain.columns[2]) for f in triangles]]
+        gf3 = _ChainComplex.of_complex(rp2, FieldSpec(3))
+        assert gf3.rows[2] == calls[0]
+
     def test_rp2_torsion_inside_larger_complexes(self, monkeypatch):
         # Over Q the ranks are taken mod 2 except on maps between sizes that
         # both carry GF(2) homology, which 2-torsion gives. RP^2 induced on

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -177,6 +178,55 @@ class TestExitStatus:
         assert code == EXIT_INPUT
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("command", ["dual", "betti"])
+    def test_input_that_is_not_utf8_is_an_input_error(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"\xff\n")
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == (
+            "error: input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["dual", "{deep}"], "complex input is not valid JSON: "),
+            (["verify", "--certificate", "{deep}", "{ex0}"], "certificate is not valid JSON: "),
+        ],
+        ids=["complex", "certificate"],
+    )
+    def test_deeply_nested_json_is_an_input_error(self, files, tmp_path, capsys, argv, message):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code = main([a.format(deep=deep, **files) for a in argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert re.fullmatch(
+            f"error: {message}maximum recursion depth exceeded[^\n]*\n", captured.err
+        )
+
+    @pytest.mark.parametrize("exponent", [10**6, 99999999999])
+    def test_sigma_variable_count_is_checked_before_any_image(self, tmp_path, capsys, exponent):
+        # n + maxdeg - 1 variables; x1^99999999999 once raised MemoryError
+        path = tmp_path / "power.txt"
+        path.write_text(f"n=2\nx1^{exponent}\n")
+        tracemalloc.start()
+        try:
+            code = main(["sigma", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == f"error: variable count must be in 1..64, got {exponent + 1}\n"
+        assert peak < 2 << 20
 
     def test_field_characteristic_error(self, files, capsys):
         code = main(["betti", "--field", "gfp:4", files["triangle"]])

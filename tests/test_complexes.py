@@ -95,6 +95,21 @@ class TestConstruction:
         assert as_mask(iter([3, 1])) == 0b101
         assert as_mask(0b110) == 0b110
 
+    @pytest.mark.parametrize("label", [True, 1.5, "1"], ids=["bool", "float", "str"])
+    def test_labels_that_are_not_ints_are_vertex_range_errors(self, label):
+        # the labels the JSON format refuses: a bool is not vertex 1
+        message = f"vertex labels must be integers, got [{label!r}, 2]"
+        cx = SimplicialComplex(3, [[1, 2]])
+        for make in (
+            lambda: SimplicialComplex(3, [[label, 2]]),
+            lambda: as_mask([label, 2]),
+            lambda: cx.is_face((label, 2)),
+            lambda: SquarefreeIdeal(3, [[label, 2]]),
+        ):
+            with pytest.raises(VertexRangeError) as exc:
+                make()
+            assert str(exc.value) == message
+
     def test_antichain_invariant_random(self):
         for _, cx in complex_draws(101, 1101, 200, 7, allow_void=True):
             for f in cx.facets:

@@ -174,6 +174,16 @@ class TestSigma:
         if mono.degree == 0:
             return
         assert sigma_image(mono).bit_count() == mono.degree
+        # the definition: the k-th of the indices i1 <= ... <= it goes to i_k + k - 1
+        indices = [i for i, e in enumerate(exps, start=1) for _ in range(e)]
+        assert sigma_image(mono) == sum(1 << (i + k - 1) for k, i in enumerate(indices))
+
+    @pytest.mark.parametrize("exponent", [65, 10**6, 10**11])
+    def test_variable_count_is_checked_before_any_image(self, exponent):
+        ideal = MonomialIdeal(2, [Monomial([exponent, 0])])
+        with pytest.raises(VertexRangeError) as exc:
+            squarefree_operator(ideal)
+        assert str(exc.value) == f"variable count must be in 1..64, got {exponent + 1}"
 
 
 class TestTextFormat:
