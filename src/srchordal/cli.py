@@ -74,12 +74,16 @@ def _read_input(path: str) -> str:
 def _load_json(path: str, what: str):
     """The JSON value in the input at `path`. Besides syntax errors,
     json.loads raises ValueError for an integer of more digits than int()
-    converts and RecursionError for deep nesting."""
+    converts, whose message advises a call the user cannot make, and
+    RecursionError for deep nesting."""
     text = _read_input(path)
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise FormatError(f"{what} is not valid JSON: {exc}") from exc
+        reason = str(exc)
+        if "sys.set_int_max_str_digits" in reason:
+            reason = f"an integer has more than {sys.get_int_max_str_digits()} digits"
+        raise FormatError(f"{what} is not valid JSON: {reason}") from exc
 
 
 def _load_complex(path: str) -> SimplicialComplex:

@@ -240,8 +240,13 @@ def classify(ideal: SquarefreeIdeal, *, budget: int = DEFAULT_BUDGET) -> dict:
     0 takes a GF(2) "true" without a walk of its own: every Betti number
     over Q is at most the one over GF(2) (see the `betti` module), so
     only an ideal that fails over GF(2) is walked again over Q.
-    `budget` bounds each chordality search, each d-closure and each LCM
-    lattice of the componentwise linearity check.
+    Square-free stable and Gotzmann ideals, and the ideals of duals of
+    vertex decomposable complexes, have linear quotients in each degree
+    component, and a component whose generators the greedy of
+    `betti._linear_quotients` can order is decided linear without a
+    walk (see `betti.nonlinear_witness`). `budget` bounds each
+    chordality search, each d-closure and each LCM lattice that the
+    componentwise linearity check walks.
 
     The dual's facets are the complements in [n] of the generators, so
     `is_shifted` on it runs the very exchange of

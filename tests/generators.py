@@ -115,6 +115,16 @@ def random_ideal(rng: random.Random, max_n: int, *, min_n: int = 2) -> Squarefre
     return ideal
 
 
+def random_split_ideal(rng: random.Random, n: int, d: int) -> SquarefreeIdeal:
+    """Two or three pairwise disjoint generators of degree d >= 2, then up
+    to three of higher degree: I_[d] is a complete intersection with a
+    syzygy in degree 2d, so the ideal is not componentwise linear."""
+    pool = rng.sample(range(1, n + 1), n)
+    low = [pool[i * d:(i + 1) * d] for i in range(rng.randint(2, min(3, n // d)))]
+    high = [rng.sample(range(1, n + 1), rng.randint(d + 1, n)) for _ in range(rng.randint(0, 3))]
+    return SquarefreeIdeal(n, low + high)
+
+
 def random_d_closure(
     rng: random.Random, max_n: int, max_d: int
 ) -> tuple[SimplicialComplex, int]:
@@ -161,6 +171,26 @@ def random_stable_ideal(rng: random.Random, max_n: int) -> SquarefreeIdeal:
                     added = True
         if not added:
             return ideal
+
+
+def random_vd_dual_ideal(rng: random.Random, n: int) -> SquarefreeIdeal:
+    """The ideal generated by the complements of the facets of a vertex
+    decomposable complex Γ on [n], so that Γ is the Alexander dual of its
+    Stanley-Reisner complex.
+
+    Γ starts as a simplex on some of the vertices, and each other vertex
+    v adds one facet S + v, S a proper subset of a facet already there.
+    Then v is a shedding vertex: its link, the simplex on S, has no face
+    that is a facet of its deletion, the complex before v."""
+    order = rng.sample(range(1, n + 1), n)
+    start = rng.randint(1, n - 1)
+    facets = [mask_from_vertices(order[:start])]
+    for v in order[start:]:
+        host = vertices_from_mask(rng.choice(facets))
+        kept = rng.sample(host, rng.randint(0, len(host) - 1))
+        facets.append(mask_from_vertices(kept) | 1 << (v - 1))
+    full = (1 << n) - 1
+    return SquarefreeIdeal(n, [full & ~f for f in facets])
 
 
 def random_shifted_complex(rng: random.Random, max_n: int) -> SimplicialComplex:

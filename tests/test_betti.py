@@ -5,6 +5,7 @@ import random
 import re
 from functools import reduce
 from itertools import combinations
+from math import comb
 from operator import or_
 
 import pytest
@@ -20,12 +21,14 @@ from srchordal import (
     SquarefreeIdeal,
     ZeroIdealError,
     betti_table,
+    classify,
     d_closure,
     degree_component,
     free_faces,
     has_linear_resolution,
     is_componentwise_linear,
     is_d_chordal,
+    is_vertex_decomposable,
     linear_by_field,
     nonlinear_witness,
     reduced_homology_dims,
@@ -40,9 +43,13 @@ from generators import (
     random_complex,
     random_free_face_instance,
     random_ideal,
+    random_gotzmann_ideal,
     random_proper_complex,
     random_rp2_extension,
     random_small_facet_complex,
+    random_split_ideal,
+    random_stable_ideal,
+    random_vd_dual_ideal,
 )
 from oracles import koszul_betti_squarefree, rational_rank, unbounded_componentwise_linear
 
@@ -415,6 +422,12 @@ class TestLinearResolution:
         assert nonlinear_witness(SquarefreeIdeal(4, [[1, 2], [3, 4]]), budget=3) == (0b1111, 1)
         with pytest.raises(SearchBudgetExceeded):
             nonlinear_witness(SquarefreeIdeal(4, [[1, 2], [3, 4]]), budget=2)
+        # 29 edges through x1 make a lattice of 2^29 - 1 members, but the
+        # star has linear quotients and is decided before it is closed
+        star = SquarefreeIdeal(30, [[1, v] for v in range(2, 31)])
+        assert nonlinear_witness(star, budget=100) is None
+        assert is_componentwise_linear(star, CHAR0, budget=100)
+        assert nonlinear_witness(SquarefreeIdeal(3, [[1, 2], [1, 3], [2, 3]]), budget=0) is None
 
 
 class TestComponentwiseLinear:
@@ -553,6 +566,118 @@ class TestLinearByField:
         checked.clear()
         linear_by_field(is_componentwise_linear, RP2_IDEAL, [GF2, CHAR0])
         assert checked == [GF2, CHAR0]
+
+
+def colon_variables(order: tuple[int, ...]) -> list[int]:
+    """r_k, the number of variables generating (u_1..u_{k-1}) : u_k, for
+    each u_k of the order, after checking that each colon generator
+    u_i & ~u_k is divisible by one of them."""
+    counts = []
+    for k, u in enumerate(order):
+        colon = {g & ~u for g in order[:k]}
+        variables = [c for c in colon if c.bit_count() == 1]
+        for c in colon:
+            assert any(x & c for x in variables), (order, k, c)
+        counts.append(len(variables))
+    return counts
+
+
+def linear_quotient_table(order: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """Herzog-Takayama: β_{i,i+j} = Σ over the u_k of degree j of C(r_k, i)."""
+    table: dict[tuple[int, int], int] = {}
+    for u, r in zip(order, colon_variables(order)):
+        for i in range(r + 1):
+            key = (i, i + u.bit_count())
+            table[key] = table.get(key, 0) + comb(r, i)
+    return table
+
+
+class TestLinearQuotients:
+    # Every order `_linear_quotients` returns is checked here colon by
+    # colon, and the Betti table it implies must be the one the walk and
+    # the Koszul oracle give over every field asked.
+    FIELDS = (GF2, FieldSpec(3), CHAR0)
+
+    def check_order(self, ideal):
+        from srchordal.betti import _linear_quotients
+
+        order = _linear_quotients(ideal)
+        if order is not None:
+            assert sorted(order) == sorted(ideal.gens)
+            degrees = [u.bit_count() for u in order]
+            assert degrees == sorted(degrees)
+            table = linear_quotient_table(order)
+            for field in self.FIELDS:
+                assert betti_table(ideal, field).as_dict() == table, (ideal, field)
+            assert koszul_betti_squarefree(ideal) == table, ideal
+        return order
+
+    def test_random_ideals(self):
+        rng = random.Random(418)
+        found = [self.check_order(random_ideal(rng, 6)) is not None for _ in range(150)]
+        assert 0 < sum(found) < len(found)
+        found.clear()
+        for _ in range(150):
+            n = rng.randint(3, 6)
+            d = rng.randint(2, min(3, n - 1))
+            gens = [rng.sample(range(1, n + 1), d) for _ in range(rng.randint(2, 8))]
+            found.append(self.check_order(SquarefreeIdeal(n, gens)) is not None)
+        assert 0 < sum(found) < len(found)
+
+    @pytest.mark.parametrize("family", ["stable", "gotzmann", "vd_dual"])
+    def test_family_ideals_and_their_components(self, family):
+        rng = random.Random(f"lq-{family}")
+        for _ in range(25):
+            if family == "stable":
+                ideal = random_stable_ideal(rng, 6)
+            elif family == "gotzmann":
+                ideal = random_gotzmann_ideal(rng, 6)
+            else:
+                ideal = random_vd_dual_ideal(rng, rng.randint(3, 6))
+                full = (1 << ideal.n) - 1
+                assert is_vertex_decomposable(
+                    SimplicialComplex(ideal.n, [full & ~g for g in ideal.gens])
+                )
+            assert self.check_order(ideal) is not None, ideal
+            for j in range(ideal.min_degree(), ideal.max_degree() + 1):
+                assert self.check_order(degree_component(ideal, j)) is not None, (ideal, j)
+
+    def test_none_without_linear_quotients(self):
+        from srchordal.betti import _linear_quotients
+
+        # RP^2's ideal is not linear over GF(2), so no order can exist
+        assert _linear_quotients(RP2_IDEAL) is None
+        assert not has_linear_resolution(RP2_IDEAL, GF2)
+        rng = random.Random(419)
+        for _ in range(40):
+            d = rng.randint(2, 3)
+            ideal = random_split_ideal(rng, rng.randint(2 * d, 9), d)
+            assert _linear_quotients(ideal) is None, ideal
+            assert _linear_quotients(degree_component(ideal, d)) is None, ideal
+
+    def test_classify_walks_no_family_ideal(self, monkeypatch):
+        from srchordal.betti import _ChainComplex
+
+        walked = []
+        real = _ChainComplex.reduced_homology
+
+        def counting(chain, w):
+            walked.append(w)
+            return real(chain, w)
+
+        monkeypatch.setattr(_ChainComplex, "reduced_homology", counting)
+        stable = SquarefreeIdeal(5, [[1, 2], [1, 3], [2, 3], [1, 4], [2, 4, 5]])
+        gotzmann = SquarefreeIdeal(6, [[5, 6], [4, 6], [2, 3, 6], [1, 3, 6]])
+        vd_dual = random_vd_dual_ideal(random.Random(420), 7)
+        reports = [classify(ideal) for ideal in (stable, gotzmann, vd_dual)]
+        assert reports[0]["stable"] and not reports[1]["stable"]
+        assert reports[1]["gotzmann"] and reports[2]["vertex_decomposable"]
+        assert all(r["componentwise_linear"] == {"gf2": True, "char0": True} for r in reports)
+        assert walked == []
+        # RP^2 has no linear quotients: it is walked over GF(2) up to its
+        # witness, then over char 0 in full, as before
+        assert classify(RP2_IDEAL)["componentwise_linear"] == {"gf2": False, "char0": True}
+        assert len(walked) == 64
 
 
 class TestTruncationStability:

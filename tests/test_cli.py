@@ -127,6 +127,29 @@ class TestExitStatus:
         assert captured.err == f"error: {message}\n"
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize(
+        "argv, text, payload",
+        [
+            (["linres", "--d", "2", "--budget", "2"], "x1 x2\nx1 x3\nx2 x3\n",
+             {"d": 2, "linear_resolution": {"gf2": True}}),
+            # 29 edges through x1: 2^29 - 1 lattice members
+            (["cwl", "--budget", "100"],
+             "n=30\n" + "".join(f"x1 x{v}\n" for v in range(2, 31)),
+             {"componentwise_linear": {"gf2": True}}),
+        ],
+        ids=["triangle", "star30"],
+    )
+    def test_linear_quotients_spend_no_lattice_budget(
+        self, tmp_path, capsys, argv, text, payload
+    ):
+        # an ideal with linear quotients is decided before its lattice is
+        # closed, so a budget its lattice exceeds does not stop it
+        path = tmp_path / "ideal.txt"
+        path.write_text(text)
+        code, out = run([*argv, str(path)], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out) == payload
+
     def test_lattice_budget_counts_for_cwl(self, files, capsys):
         code = main(["cwl", "--budget", "10000", files["wide_lattice"]])
         captured = capsys.readouterr()
