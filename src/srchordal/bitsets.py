@@ -53,7 +53,7 @@ def maximal_elements(masks: Iterable[int]) -> tuple[int, ...]:
     Distinct masks of equal size never contain one another, so each mask
     is compared only with the kept masks of strictly larger size.
     """
-    uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m), reverse=True)
+    uniq = sorted(set(masks), key=int.bit_count, reverse=True)
     kept: list[int] = []
     larger: list[int] = []
     size = -1
@@ -61,7 +61,10 @@ def maximal_elements(masks: Iterable[int]) -> tuple[int, ...]:
         if m.bit_count() != size:
             size = m.bit_count()
             larger = kept[:]
-        if not any(m & ~k == 0 for k in larger):
+        for k in larger:
+            if m & ~k == 0:
+                break
+        else:
             kept.append(m)
     return tuple(sorted(kept))
 

@@ -158,7 +158,7 @@ def free_faces(cx: SimplicialComplex, max_dim: int) -> list[int]:
     Facets themselves qualify; so does the empty face when the complex
     has a single facet.
     """
-    return _free_faces(cx, range(max_dim + 2))
+    return _free_faces(cx, range(min(max_dim, cx.dim) + 2))
 
 
 def _free_faces(cx: SimplicialComplex, sizes: Sequence[int]) -> list[int]:
@@ -200,33 +200,12 @@ def is_d_collapsible(
 ) -> FreeSequence | None:
     """Search for a free sequence of faces of dimension < d reducing the
     complex to void; None when the complex is not d-collapsible. The
-    faces tried are those of `_collapse_rule`."""
+    faces tried are those of `_collapse_rule`. No face has more than
+    dim + 1 vertices, so any d above dim + 1 acts as dim + 1, though the
+    certificate keeps the d asked for."""
     if d < 1:
         raise DimensionRangeError(f"collapsing parameter d must be >= 1, got {d}")
     return _search(cx, KIND_COLLAPSE, d, budget)
-
-
-def _rule(
-    kind: str, cx: SimplicialComplex, d: int
-) -> tuple[Callable, Callable[[tuple[int, ...]], bool]]:
-    """The move and the goal test, on facets, with which `verify_sequence`
-    replays a free sequence of the given kind on cx. A collapse deletes a
-    face with everything above it and ends at the void complex: no facets
-    are left. A simplicial order keeps the face itself and ends at the
-    (d-1)-skeleton of the simplex on the ambient set A: the facets are
-    exactly (A,) when |A| <= d, and otherwise comb(|A|, d) facets of d
-    vertices each, which are then every d-subset of A. The goal is
-    tested, never listed."""
-    if kind == KIND_COLLAPSE:
-        return SimplicialComplex.delete_all, lambda facets: not facets
-    amb = cx.ambient
-    size = amb.bit_count()
-    if size <= d:
-        return SimplicialComplex.face_deletion, lambda facets: facets == (amb,)
-    top = comb(size, d)
-    return SimplicialComplex.face_deletion, lambda facets: (
-        len(facets) == top and all(f.bit_count() == d for f in facets)
-    )
 
 
 def _collapse_rule(
@@ -242,8 +221,10 @@ def _collapse_rule(
     those are branched on; this is sound because deleting a larger free
     face preserves collapsibility whenever deleting a smaller one does."""
 
+    sizes = range(min(d, cx.dim + 1) + 1)  # no face has more vertices than a facet of cx
+
     def candidates(cur: SimplicialComplex) -> tuple[int, ...]:
-        return maximal_elements(_free_faces(cur, range(d + 1)))
+        return maximal_elements(_free_faces(cur, sizes))
 
     return cx, candidates, SimplicialComplex.delete_all, lambda cur: not cur.facets
 
@@ -474,14 +455,17 @@ def is_chordal(cx: SimplicialComplex, *, budget: int = DEFAULT_BUDGET) -> bool:
 def verify_sequence(cx: SimplicialComplex, seq: FreeSequence, d: int) -> bool:
     """Replay a certificate, re-checking every step.
 
-    For a collapse: each face must be free of dimension < d in the
-    current complex, and the replay must end void. For a simplicial
-    order: the start must be a d-closure, each face a non-facet free
-    (d-1)-face, and the replay must end at the full (d-1)-skeleton.
+    A collapse deletes a free face with at most d vertices and every face
+    containing it (`delete_all`), and must end at the void complex, with
+    no facets left. A simplicial order deletes only the faces strictly
+    containing a free non-facet face with d vertices (`face_deletion`),
+    and must end at the (d-1)-skeleton of the simplex on the ambient set
+    A: the facets are exactly (A,) when |A| <= d, and otherwise
+    comb(|A|, d) facets of d vertices each, which are then every d-subset
+    of A. The goal is tested on the facets, never listed.
 
-    The replay builds each complex with `face_deletion` or
-    `delete_all` and tests the goal on its facets, so it shares no move
-    code with the order search, which runs on bits of (d+1)-faces.
+    The replay builds each complex, so it shares no move code with the
+    order search, which runs on bits of (d+1)-faces.
 
     The start of an accepted order is a d-closure without a check of its
     own: if E is a free non-facet face of C with d vertices, then C is a
@@ -499,7 +483,7 @@ def verify_sequence(cx: SimplicialComplex, seq: FreeSequence, d: int) -> bool:
     if d < 1 or seq.kind not in _SEARCH_NAMES:
         return False
     order = seq.kind == KIND_SIMPLICIAL_ORDER
-    move, done = _rule(seq.kind, cx, d)
+    move = SimplicialComplex.face_deletion if order else SimplicialComplex.delete_all
     cur = cx
     for e in seq.faces:
         if (e.bit_count() != d or e in cur.facets) if order else e.bit_count() > d:
@@ -507,4 +491,9 @@ def verify_sequence(cx: SimplicialComplex, seq: FreeSequence, d: int) -> bool:
         if sum(1 for f in cur.facets if e & ~f == 0) != 1:
             return False
         cur = move(cur, e)
-    return done(cur.facets)
+    if not order:
+        return not cur.facets
+    size = cx.ambient.bit_count()
+    if size <= d:
+        return cur.facets == (cx.ambient,)
+    return len(cur.facets) == comb(size, d) and all(f.bit_count() == d for f in cur.facets)

@@ -49,7 +49,7 @@ from .chordality import (
     simplicial_deletions,
     verify_sequence,
 )
-from .complexes import SimplicialComplex
+from .complexes import MAX_VERTICES, SimplicialComplex
 from .errors import FormatError, SearchBudgetExceeded, SRChordalError
 from .families import classify, sigma_pipeline
 from .ideals import format_squarefree_ideal, parse_monomial_ideal, parse_squarefree_ideal
@@ -190,7 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True, help="RNG seed (required, no wall clock)")
     p.add_argument("--trials", type=_nonnegative("trials"), default=100)
     p.add_argument(
-        "--max-n", type=int, default=6, help="largest vertex count drawn; at least max(d+1, 3)"
+        "--max-n",
+        type=int,
+        default=6,
+        help=f"largest vertex count drawn; at least max(d+1, 3), at most {MAX_VERTICES}",
     )
     p.add_argument("--d", type=int, default=2)
     p.set_defaults(run=_run_experiment)
@@ -356,6 +359,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "experiment" and args.max_n < max(args.d + 1, 3):
         # trials draw n from max(d+1, 3)..max_n
         parser.error(f"experiment q2 needs --max-n >= {max(args.d + 1, 3)} for --d {args.d}")
+    if args.command == "experiment" and args.max_n > MAX_VERTICES:
+        parser.error(f"experiment q2 needs --max-n <= {MAX_VERTICES}")
     try:
         verdict, payload, pretty = args.run(args)
         if pretty is not None and args.format == "pretty":

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .bitsets import (
+    iter_vertices,
     mask_from_vertices,
     maximal_elements,
     minimal_transversals,
@@ -178,36 +179,32 @@ class SimplicialComplex:
         return SimplicialComplex._raw(self.n, amb, tuple(pieces))
 
     def delete_all(self, face) -> "SimplicialComplex":
-        """Remove every face containing the given set (including itself).
+        """Remove every face containing the set E, E itself included.
 
-        The facets left are read straight off the facet antichain (see
-        `_without_superfaces`), so no antichain reduction runs. The
-        empty face lies in every face and leaves the void complex; a set
-        that is not a face changes nothing.
+        The faces left are those missing a vertex of E, so the facets are
+        the maximal sets among the facets that miss a vertex of E and the
+        pieces F - v of the facets F containing E, v in E. The empty face
+        lies in every face and leaves the void complex; a set that is not
+        a face changes nothing.
         """
         m = self._coerce_face(face)
-        above = [f for f in self.facets if f & m == m]
-        facets = _without_superfaces(self.facets, above, m)
-        return SimplicialComplex._raw(self.n, self.ambient, tuple(sorted(facets)))
+        bits = [1 << (v - 1) for v in iter_vertices(m)]
+        kept = [f for f in self.facets if f & m != m]
+        pieces = [f ^ b for f in self.facets if f & m == m for b in bits]
+        return SimplicialComplex._raw(self.n, self.ambient, maximal_elements(kept + pieces))
 
     def face_deletion(self, face) -> "SimplicialComplex":
         """Remove the faces strictly containing E but keep E itself.
 
-        One scan lists the facets above E. None means E is not a face,
-        and E alone means E is a facet; either way nothing changes and
-        the complex itself is returned. Otherwise the facets are those
-        `_without_superfaces` leaves, plus E, and no antichain reduction
-        is needed: a piece F-{v} inside E would give F <= E, so F = E
-        would be a facet; a kept facet K inside E would lie inside a
-        facet containing E, which an antichain forbids; and no remaining
-        facet contains E.
+        A nonface or a facet E changes nothing, and the complex itself is
+        returned. Otherwise the facets are those `delete_all` leaves plus
+        E: a face left inside E lies in some E - v, so in the piece F - v
+        of a facet F strictly above E.
         """
         m = self._coerce_face(face)
-        above = [f for f in self.facets if f & m == m]
-        if not above or above[0] == m:
+        if m in self.facets or not self.is_face(m):
             return self
-        facets = _without_superfaces(self.facets, above, m)
-        facets.append(m)
+        facets = self.delete_all(m).facets + (m,)
         return SimplicialComplex._raw(self.n, self.ambient, tuple(sorted(facets)))
 
     def alexander_dual(self) -> "SimplicialComplex":
@@ -262,37 +259,6 @@ class SimplicialComplex:
             return cls(n, masks, ambient=ambient)
         except VertexRangeError as exc:
             raise FormatError(str(exc)) from exc
-
-
-def _without_superfaces(facets: tuple[int, ...], above: list[int], m: int) -> list[int]:
-    """The facets left after removing every face containing m, unsorted,
-    given the facets `above` that contain m.
-
-    The other facets are kept. Each facet F above m leaves the pieces
-    F-{v}, v in m, that lie in no kept facet. F-{v} lies in a facet K
-    other than F exactly when F-K is {v}, as F-K is then not empty; and
-    F-K misses v when K is above m. So the differences F-K over all
-    facets hold {v} exactly when a kept facet contains F-{v}. Nothing
-    else needs checking, because the facets form an antichain:
-    * the pieces are distinct and pairwise incomparable: F-{v} keeps
-      every other vertex of m, so F-{v} <= F'-{v'} forces v = v' and
-      then F <= F', i.e. F = F';
-    * no kept facet K lies inside a piece F-{v}, since then K < F.
-    """
-    if not m:
-        return []  # every face contains the empty face
-    out = list(facets)
-    for f in above:
-        out.remove(f)
-    for f in above:
-        missing = {f & ~k for k in facets}
-        rest = m
-        while rest:
-            b = rest & -rest  # the lowest vertex of m not yet tried
-            if b not in missing:
-                out.append(f ^ b)
-            rest ^= b
-    return out
 
 
 def mask_from_json_labels(labels, what: str) -> int:

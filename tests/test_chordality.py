@@ -214,6 +214,8 @@ class TestFreeFaces:
             if cx.is_void:
                 continue
             got = set(free_faces(cx, cx.dim))
+            # no face is larger than a facet, so a far larger bound lists the same
+            assert set(free_faces(cx, 10**6)) == got
             from oracles import brute_face_set
 
             expect = {

@@ -314,9 +314,10 @@ class TestExitStatus:
         [
             (["--max-n", "2"], "needs --max-n >= 3 for --d 2"),
             (["--max-n", "3", "--d", "3"], "needs --max-n >= 4 for --d 3"),
+            (["--max-n", "65"], "needs --max-n <= 64"),
             (["--trials", "-1"], "trials must be >= 0, got -1"),
         ],
-        ids=["max_n_below_three", "max_n_below_d_plus_one", "negative_trials"],
+        ids=["max_n_below_three", "max_n_below_d_plus_one", "max_n_above_64", "negative_trials"],
     )
     def test_bad_experiment_arguments_are_rejected(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -480,6 +481,20 @@ class TestSubcommands:
             tracemalloc.stop()
         assert (code, json.loads(capsys.readouterr().out)) == (EXIT_OK, {"valid": True})
         assert peak < 1 << 20
+
+    def test_collapsible_d_far_above_the_dimension(self, tmp_path, capsys):
+        # no face has more vertices than the largest facet, so d = 10^6
+        # tries the faces d = 2 does, in the same time, and keeps its d
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({"n": 3, "facets": [[1, 2], [2, 3]]}))
+        payloads = []
+        for d in (2, 1_000_000):
+            code, out = run(["collapsible", "--d", str(d), str(path)], capsys)
+            assert code == EXIT_OK
+            payloads.append(json.loads(out))
+        low, high = payloads
+        assert (low["d"], high["d"]) == (2, 1_000_000)
+        assert low["certificate"]["faces"] == high["certificate"]["faces"]
 
     def test_collapsible_false_on_hollow_triangle(self, files, capsys):
         # every vertex lies in two edges, so no face of dimension < 1 is free

@@ -207,6 +207,21 @@ class TestLink:
         with pytest.raises(NotAFaceError):
             EX0.link([3, 5])
 
+    def test_link_needs_no_antichain_reduction(self, monkeypatch):
+        # the link reads its facets straight off the facet antichain
+        rng = random.Random(105)
+        cxs = [random_small_facet_complex(rng, 4, 6) for _ in range(40)]
+        cxs += [random_complex(rng, 6) for _ in range(40)]
+
+        def forbidden(masks):
+            raise AssertionError("maximal_elements called by the link")
+
+        monkeypatch.setattr(srchordal.complexes, "maximal_elements", forbidden)
+        for cx in cxs:
+            for e in range(cx.ambient + 1):
+                if e & ~cx.ambient == 0 and cx.is_face(e):
+                    cx.link(e)
+
 
 class TestDeleteAll:
     def test_triangle_vertex(self):
@@ -278,25 +293,6 @@ class TestMovesAgainstOracle:
                 else:
                     seen["free" if containing == 1 else "not_free"] += 1
         assert all(seen.values()), seen
-
-    def test_moves_need_no_antichain_reduction(self, monkeypatch):
-        # both moves, and the link, read their facets straight off the
-        # facet antichain
-        rng = random.Random(105)
-        cxs = [random_small_facet_complex(rng, 4, 6) for _ in range(40)]
-        cxs += [random_complex(rng, 6) for _ in range(40)]
-
-        def forbidden(masks):
-            raise AssertionError("maximal_elements called by a move")
-
-        monkeypatch.setattr(srchordal.complexes, "maximal_elements", forbidden)
-        for cx in cxs:
-            for e in range(cx.ambient + 1):
-                if e & ~cx.ambient == 0:
-                    cx.delete_all(e)
-                    cx.face_deletion(e)
-                    if cx.is_face(e):
-                        cx.link(e)
 
 
 class TestAlexanderDual:

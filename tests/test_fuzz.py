@@ -9,8 +9,8 @@ inputs of the same kind, and numbers are replaced by other numbers or
 other JSON values. The Berge transversals behind dual, nonfaces,
 sigma and classify run without a budget, so a mutant is kept only if
 every number in it is at most 12; inputs with deep nesting and huge
-numbers are run separately, besides those `test_cli.py` pins with their
-messages."""
+numbers, and large option values, are run separately, besides those
+`test_cli.py` pins with their messages."""
 
 import json
 import random
@@ -196,6 +196,34 @@ def test_deep_and_huge_inputs_exit_2(command, text, tmp_path, capsys):
         assert err == (
             f"error: complex input is not valid JSON: an integer has more than {limit} digits\n"
         )
+
+
+LARGE_OPTIONS = [
+    ["collapsible", "--d", str(10**6), "--budget", BUDGET],
+    ["chordal", "--d", str(10**6), "--budget", BUDGET],
+    ["closure", "--d", str(10**6), "--budget", BUDGET],
+]
+
+
+@pytest.mark.parametrize("options", LARGE_OPTIONS, ids=[o[0] for o in LARGE_OPTIONS])
+def test_large_options_exit_0_to_3(options, tmp_path, capsys):
+    for k, data in enumerate(_seeds()["complex"]):
+        path = tmp_path / f"{k}.json"
+        path.write_bytes(data)
+        _check([*options, str(path)], capsys, f"{options[0]} on {data!r}")
+
+
+def test_large_max_n_exits_2(capsys):
+    # argparse prints its usage before the one error line
+    argv = ["experiment", "q2", "--seed", "1", "--trials", "1", "--max-n", str(10**5)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_INPUT
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error: " in line] == [
+        "srchordal: error: experiment q2 needs --max-n <= 64"
+    ]
 
 
 @pytest.mark.parametrize(
