@@ -24,6 +24,11 @@ state, keys the memo of failed states, and tells the goal and the free
 non-facet d-sets without a complex being built (see `_order_rule`). The
 candidates are read off it lazily, in ascending order: a search that
 does not backtrack tests only the d-sets up to the first that leads on.
+A d-set E is free when U, the union of the live (d+1)-faces containing
+it, is a face of the state. Every such face contains E, so U is the
+union of the live faces alone, and those are the live bits of E's star:
+U, and whether it is a face, depend on those bits and not on E, so one
+memo keyed by them serves every d-set, state and probe of a rule.
 A collapse search keeps the complex as its state and recounts its free
 faces at every state: its moves remove faces of every size, and on the
 collapsible complexes of the `certify` benchmark it never backtracks.
@@ -107,7 +112,11 @@ def d_closure(cx: SimplicialComplex, d: int, *, budget: int = DEFAULT_BUDGET) ->
       subsets are, by induction, as each (d+1)-subset lies in one of
       them; G is generated once, from G minus its top vertex;
     * faces are closed downwards, so the facets are the faces none of
-      whose one-vertex extensions is a face.
+      whose one-vertex extensions is a face: a face of one level is a
+      facet iff it is no one-smaller subset of a face of the next. Growing
+      the next level lists those subsets anyway, so they are collected
+      there, once per level, instead of extending each face of the level
+      below by every ambient vertex.
     More than `budget` faces grown raise SearchBudgetExceeded. The first
     level is bounded before it is listed: it holds comb(|A|, d) d-sets
     and at least the (d+1)-subsets of the largest facet, so a bound over
@@ -131,10 +140,11 @@ def d_closure(cx: SimplicialComplex, d: int, *, budget: int = DEFAULT_BUDGET) ->
         grown += len(level)
         if grown > budget:
             raise SearchBudgetExceeded(over)
-        facets += [f for f in low if level.isdisjoint(map(f.__or__, bits))]
         nxt: set[int] = set()
+        covered: set[int] = set()  # the faces of low inside a face of level
         for f in level:
             below = [f ^ w for w in bits if w & f]  # the one-smaller subsets of f
+            covered.update(below)
             for b in bits:
                 if b > f:  # b lies above the top vertex of f
                     for c in below:
@@ -142,6 +152,7 @@ def d_closure(cx: SimplicialComplex, d: int, *, budget: int = DEFAULT_BUDGET) ->
                             break
                     else:
                         nxt.add(f | b)
+        facets += [f for f in low if f not in covered]
         low, level = level, nxt
     return SimplicialComplex._raw(cx.n, amb, tuple(sorted(facets)))
 
@@ -250,10 +261,15 @@ def _order_rule(cx: SimplicialComplex, d: int) -> tuple[int, Callable, Callable,
       state containing E lies inside U, so E lies in one facet iff U is
       a face of the state, iff U is a face of cx whose (d+1)-subsets all
       survive (every state is cx cut down to those faces, see `_search`).
-      need[U], worked out once for each U, holds the bits of those
-      subsets, or a bit no state holds when U is no face of cx, so the
-      test is `need[U] & ~alive == 0`. This holds on any start, closure
-      or not.
+      The need of U holds the bits of those subsets, or a bit no state
+      holds when U is no face of cx, so the test is `need & ~alive == 0`.
+      This holds on any start, closure or not.
+    * Memo: every live (d+1)-face containing E contains E, so U is the
+      union of the faces of live = star[E] & alive alone, and E itself
+      adds nothing to it. So U and its need depend on `live` and not on
+      E or on the rest of the state, and cover[live], worked out on the
+      first miss, serves every d-set and state with the same live faces,
+      and every probe of `simplicial_deletions`, which shares the rule.
 
     The candidates are a generator over the d-sets in ascending order,
     so a search that leads on from its first candidate, as a successful
@@ -262,13 +278,21 @@ def _order_rule(cx: SimplicialComplex, d: int) -> tuple[int, Callable, Callable,
     bit = {t: 1 << i for i, t in enumerate(tops)}
     star: dict[int, int] = {}
     for t, b in bit.items():
-        for e in subsets_of_size(t, d):
-            star[e] = star.get(e, 0) | b
+        rest = t
+        while rest:  # t minus each of its vertices
+            w = rest & -rest
+            star[t ^ w] = star.get(t ^ w, 0) | b
+            rest ^= w
     stars = sorted(star.items())
     absent = 1 << len(tops)
-    need: dict[int, int] = {}
+    cover: dict[int, int] = {}
 
-    def needed(u: int) -> int:
+    def needed(live: int) -> int:
+        u = 0
+        while live:
+            low = live & -live
+            u |= tops[low.bit_length() - 1]
+            live ^= low
         if not any(u & ~f == 0 for f in cx.facets):
             return absent
         return sum(map(bit.__getitem__, subsets_of_size(u, d + 1)))  # distinct bits: their OR
@@ -277,14 +301,10 @@ def _order_rule(cx: SimplicialComplex, d: int) -> tuple[int, Callable, Callable,
         for e, s in stars:
             live = s & alive
             if live:
-                u = e
-                while live:
-                    low = live & -live
-                    u |= tops[low.bit_length() - 1]
-                    live ^= low
-                if u not in need:
-                    need[u] = needed(u)
-                if not need[u] & ~alive:
+                need = cover.get(live)
+                if need is None:
+                    need = cover[live] = needed(live)
+                if not need & ~alive:
                     yield e
 
     size = cx.ambient.bit_count()

@@ -196,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"largest vertex count drawn; at least max(d+1, 3), at most {MAX_VERTICES}",
     )
     p.add_argument("--d", type=int, default=2)
-    p.set_defaults(run=_run_experiment)
+    # main checks --max-n against --d, and reports it with this usage
+    p.set_defaults(run=_run_experiment, parser=p)
 
     return parser
 
@@ -358,9 +359,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     if args.command == "experiment" and args.max_n < max(args.d + 1, 3):
         # trials draw n from max(d+1, 3)..max_n
-        parser.error(f"experiment q2 needs --max-n >= {max(args.d + 1, 3)} for --d {args.d}")
+        args.parser.error(f"experiment q2 needs --max-n >= {max(args.d + 1, 3)} for --d {args.d}")
     if args.command == "experiment" and args.max_n > MAX_VERTICES:
-        parser.error(f"experiment q2 needs --max-n <= {MAX_VERTICES}")
+        args.parser.error(f"experiment q2 needs --max-n <= {MAX_VERTICES}")
     try:
         verdict, payload, pretty = args.run(args)
         if pretty is not None and args.format == "pretty":

@@ -634,6 +634,45 @@ class TestOrderCandidates:
         assert verdicts == {False, True}
         assert dead_hits > 0
 
+    def test_the_live_star_fixes_the_union_of_the_live_faces(self, monkeypatch):
+        # the order rule memoizes freeness by live = star[E] & alive: at
+        # every state a search expands, two d-sets with the same nonzero
+        # live star have the same U = E + {v : E+v is a live (d+1)-face},
+        # the union of those faces alone, so U contains both; the live
+        # star is read off the rule's own move, which clears its bits
+        real = srchordal.chordality._dfs
+        shared = 0
+
+        def watched(start, candidates, move, done, budget, kind):
+            def expanding(state):
+                nonlocal shared
+                union = {}
+                for e in d_sets:
+                    mine = [i for i, t in enumerate(tops) if state >> i & 1 and e & ~t == 0]
+                    live = state & ~move(state, e)
+                    assert live == sum(1 << i for i in mine)
+                    if live:
+                        u = e
+                        for i in mine:
+                            u |= tops[i]
+                        shared += live in union
+                        assert union.setdefault(live, u) == u
+                return candidates(state)
+
+            return real(start, expanding, move, done, budget, kind)
+
+        monkeypatch.setattr(srchordal.chordality, "_dfs", watched)
+        for rng, cx in complex_draws(724, 1724, 50, 7):
+            for d in (1, 2, 3):
+                closures = [d_closure(cx, d)]
+                if d < 3 and cx.n >= 2 + 2 * d:
+                    closures.append(d_closure(plant_hole(rng, cx, d), d))
+                for closure in closures:
+                    tops = closure.faces_of_dim(d)
+                    d_sets = sorted({e for t in tops for e in subsets_of_size(t, d)})
+                    find_simplicial_order(closure, d)
+        assert shared > 0
+
 
 class TestOrderOracle:
     def test_order_search_matches_a_brute_force_search(self):

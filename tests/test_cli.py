@@ -323,7 +323,11 @@ class TestExitStatus:
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "q2", "--seed", "1", *argv])
         assert exc.value.code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        # the usage of experiment, not of every subcommand
+        assert err.startswith("usage: srchordal experiment ")
+        assert err.splitlines()[-1].startswith("srchordal experiment: error: ")
 
     def test_experiment_format_is_rejected(self, capsys):
         # experiment prints JSON only

@@ -222,7 +222,7 @@ def test_large_max_n_exits_2(capsys):
     assert exc.value.code == EXIT_INPUT
     assert captured.out == ""
     assert [line for line in captured.err.splitlines() if "error: " in line] == [
-        "srchordal: error: experiment q2 needs --max-n <= 64"
+        "srchordal experiment: error: experiment q2 needs --max-n <= 64"
     ]
 
 
