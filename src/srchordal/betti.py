@@ -154,6 +154,9 @@ class FieldSpec:
 
 GF2 = FieldSpec(2)
 CHAR0 = FieldSpec(0)
+# GF(2) first: `linear_by_field` takes a GF(2) "linear" for char 0 only
+# when GF(2) comes before it, so char 0 then needs no walk of its own
+BOTH_FIELDS = (GF2, CHAR0)
 
 
 def _signed_row(face: int, index: dict[int, int]) -> dict[int, int]:

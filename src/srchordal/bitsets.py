@@ -19,12 +19,7 @@ def mask_from_vertices(vertices: Iterable[int]) -> int:
 
 def vertices_from_mask(mask: int) -> tuple[int, ...]:
     """Unpack a mask into sorted 1-based vertex labels."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return tuple(out)
+    return tuple(iter_vertices(mask))
 
 
 def iter_vertices(mask: int) -> Iterator[int]:

@@ -31,8 +31,7 @@ import sys
 
 from . import __version__
 from .betti import (
-    CHAR0,
-    GF2,
+    BOTH_FIELDS,
     FieldSpec,
     betti_table,
     has_linear_resolution,
@@ -40,7 +39,6 @@ from .betti import (
     linear_by_field,
 )
 from .chordality import (
-    DEFAULT_BUDGET,
     FreeSequence,
     chordality_check_range,
     d_chordal_order,
@@ -50,7 +48,7 @@ from .chordality import (
     verify_sequence,
 )
 from .complexes import MAX_VERTICES, SimplicialComplex
-from .errors import FormatError, SearchBudgetExceeded, SRChordalError
+from .errors import DEFAULT_BUDGET, FormatError, SearchBudgetExceeded, SRChordalError
 from .families import classify, sigma_pipeline
 from .ideals import format_squarefree_ideal, parse_monomial_ideal, parse_squarefree_ideal
 from .bitsets import vertices_from_mask
@@ -90,10 +88,10 @@ def _load_complex(path: str) -> SimplicialComplex:
     return SimplicialComplex.from_json_dict(_load_json(path, "complex input"))
 
 
-def _fields_for(choice: str) -> list[FieldSpec]:
+def _fields_for(choice: str) -> tuple[FieldSpec, ...]:
     if choice == "both":
-        return [GF2, CHAR0]
-    return [FieldSpec.parse(choice)]
+        return BOTH_FIELDS
+    return (FieldSpec.parse(choice),)
 
 
 def _cert_json(seq: FreeSequence | None):
@@ -196,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"largest vertex count drawn; at least max(d+1, 3), at most {MAX_VERTICES}",
     )
     p.add_argument("--d", type=int, default=2)
-    # main checks --max-n against --d, and reports it with this usage
+    # _run_experiment checks --d and --max-n, and reports them with this usage
     p.set_defaults(run=_run_experiment, parser=p)
 
     return parser
@@ -311,8 +309,15 @@ def _run_sigma(args) -> _Result:
 
 
 def _run_experiment(args) -> _Result:
-    rng = random.Random(args.seed)
     d = args.d
+    if d < 1:
+        args.parser.error(f"experiment q2 needs --d >= 1, got {d}")
+    if args.max_n < max(d + 1, 3):
+        # trials draw n from max(d+1, 3)..max_n
+        args.parser.error(f"experiment q2 needs --max-n >= {max(d + 1, 3)} for --d {d}")
+    if args.max_n > MAX_VERTICES:
+        args.parser.error(f"experiment q2 needs --max-n <= {MAX_VERTICES}")
+    rng = random.Random(args.seed)
     checked_pairs = 0
     chordal_closures = 0
     counterexamples = []
@@ -357,11 +362,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{args.command} does not take {' '.join(options)}")
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    if args.command == "experiment" and args.max_n < max(args.d + 1, 3):
-        # trials draw n from max(d+1, 3)..max_n
-        args.parser.error(f"experiment q2 needs --max-n >= {max(args.d + 1, 3)} for --d {args.d}")
-    if args.command == "experiment" and args.max_n > MAX_VERTICES:
-        args.parser.error(f"experiment q2 needs --max-n <= {MAX_VERTICES}")
     try:
         verdict, payload, pretty = args.run(args)
         if pretty is not None and args.format == "pretty":

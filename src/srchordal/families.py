@@ -7,11 +7,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .betti import CHAR0, GF2, is_componentwise_linear, linear_by_field
+from .betti import BOTH_FIELDS, is_componentwise_linear, linear_by_field
 from .bitsets import iter_vertices
-from .chordality import DEFAULT_BUDGET, is_chordal
+from .chordality import is_chordal
 from .complexes import SimplicialComplex
-from .errors import NotStronglyStableError, VertexRangeError, ZeroIdealError
+from .errors import DEFAULT_BUDGET, NotStronglyStableError, VertexRangeError, ZeroIdealError
 from .ideals import (
     Monomial,
     MonomialIdeal,
@@ -116,20 +116,12 @@ def is_vertex_decomposable(cx: SimplicialComplex) -> bool:
 
     def rec(c: SimplicialComplex) -> bool:
         key = (c.ambient, c.facets)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if len(c.facets) <= 1:
-            memo[key] = True
-            return True
-        result = False
-        for v in c.vertices():
-            split = _shedding_split(c, v)
-            if split is not None and rec(split[0]) and rec(split[1]):
-                result = True
-                break
-        memo[key] = result
-        return result
+        if key not in memo:
+            memo[key] = len(c.facets) <= 1 or any(
+                split is not None and rec(split[0]) and rec(split[1])
+                for split in (_shedding_split(c, v) for v in c.vertices())
+            )
+        return memo[key]
 
     return rec(cx)
 
@@ -226,9 +218,6 @@ def _alexander_dual_of(ideal: SquarefreeIdeal) -> SimplicialComplex:
     return SimplicialComplex._raw(ideal.n, full, tuple(sorted(full & ~g for g in ideal.gens)))
 
 
-_CLASSIFY_FIELDS = (GF2, CHAR0)
-
-
 def classify(ideal: SquarefreeIdeal, *, budget: int = DEFAULT_BUDGET) -> dict:
     """One-stop report over the implication chain of families.
 
@@ -265,6 +254,6 @@ def classify(ideal: SquarefreeIdeal, *, budget: int = DEFAULT_BUDGET) -> dict:
         "gotzmann": gotzmann_decomposition(ideal) is not None,
         "chordal": is_chordal(cx, budget=budget),
         "componentwise_linear": linear_by_field(
-            is_componentwise_linear, ideal, _CLASSIFY_FIELDS, budget=budget
+            is_componentwise_linear, ideal, BOTH_FIELDS, budget=budget
         ),
     }

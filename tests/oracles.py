@@ -362,3 +362,36 @@ def brute_has_simplicial_order(cx: SimplicialComplex, d: int) -> bool:
         return False
 
     return reaches(frozenset(brute_face_set(cx)))
+
+
+def brute_is_vertex_decomposable(cx: SimplicialComplex) -> bool:
+    """Vertex decomposability by definition, on explicit face sets: a
+    face set with at most one maximal face (void, {∅} or a simplex) is
+    vertex decomposable, and so is one with a shedding vertex v whose
+    deletion (the faces missing v) and link (the faces G missing v with
+    G + v a face) are both vertex decomposable. v is shedding when no
+    maximal face of the deletion lies in the link. Every vertex is
+    tried, and nothing is memoized."""
+
+    def maximal(faces: frozenset[int]) -> list[int]:
+        """The faces that no face with one more vertex contains."""
+        return [
+            f for f in faces
+            if all(f | 1 << v not in faces for v in range(cx.n) if not f >> v & 1)
+        ]
+
+    def decomposable(faces: frozenset[int]) -> bool:
+        if len(maximal(faces)) <= 1:
+            return True
+        for v in range(cx.n):
+            bit = 1 << v
+            if bit not in faces:
+                continue
+            deletion = frozenset(f for f in faces if not f & bit)
+            link = frozenset(f for f in deletion if f | bit in faces)
+            shedding = not any(f in link for f in maximal(deletion))
+            if shedding and decomposable(deletion) and decomposable(link):
+                return True
+        return False
+
+    return decomposable(frozenset(brute_face_set(cx)))

@@ -501,26 +501,18 @@ class TestSearchPins:
         [(DUNCE, 0, 32), (OCTAHEDRON_AND_MORE, 48, 1940)],
         ids=["dunce_hat", "octahedron_and_more"],
     )
-    def test_exhaustive_search_tree_size(self, monkeypatch, cx, order_nodes, collapse_moves):
-        # both searches fail, so the nodes counted cover the whole tree:
-        # the order search's by its node budget, which also counts the
-        # moves onto states known to fail, and the collapse search's by
-        # its moves
+    def test_exhaustive_search_tree_size(self, cx, order_nodes, collapse_moves):
+        # both searches fail, so the nodes counted cover the whole tree;
+        # each is counted by its node budget, which also counts the moves
+        # onto states known to fail
         closure = d_closure(cx, 2)
         assert find_simplicial_order(closure, 2, budget=order_nodes) is None
         if order_nodes:
             with pytest.raises(SearchBudgetExceeded):
                 find_simplicial_order(closure, 2, budget=order_nodes - 1)
-        real = SimplicialComplex.delete_all
-        calls = []
-
-        def counting(self, face):
-            calls.append(face)
-            return real(self, face)
-
-        monkeypatch.setattr(SimplicialComplex, "delete_all", counting)
-        assert is_d_collapsible(closure, 2) is None
-        assert len(calls) == collapse_moves
+        assert is_d_collapsible(closure, 2, budget=collapse_moves) is None
+        with pytest.raises(SearchBudgetExceeded):
+            is_d_collapsible(closure, 2, budget=collapse_moves - 1)
 
     @pytest.mark.parametrize(
         "cx, built, moves",

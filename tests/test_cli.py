@@ -316,15 +316,25 @@ class TestExitStatus:
             (["--max-n", "3", "--d", "3"], "needs --max-n >= 4 for --d 3"),
             (["--max-n", "65"], "needs --max-n <= 64"),
             (["--trials", "-1"], "trials must be >= 0, got -1"),
+            # rejected before any trial, so also when there is none
+            (["--trials", "0", "--d", "0"], "needs --d >= 1, got 0"),
+            (["--trials", "0", "--d", "-3"], "needs --d >= 1, got -3"),
+            (["--trials", "1", "--d", "0"], "needs --d >= 1, got 0"),
         ],
-        ids=["max_n_below_three", "max_n_below_d_plus_one", "max_n_above_64", "negative_trials"],
+        ids=[
+            "max_n_below_three", "max_n_below_d_plus_one", "max_n_above_64", "negative_trials",
+            "d_zero_without_trials", "d_negative_without_trials", "d_zero",
+        ],
     )
     def test_bad_experiment_arguments_are_rejected(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "q2", "--seed", "1", *argv])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
         assert message in err
+        assert err.count("error:") == 1
         # the usage of experiment, not of every subcommand
         assert err.startswith("usage: srchordal experiment ")
         assert err.splitlines()[-1].startswith("srchordal experiment: error: ")
@@ -526,6 +536,32 @@ class TestSubcommands:
         code, out = run(argv + ["--field", "both", "--format", "pretty", files["rp2_ideal"]],
                         capsys)
         assert out.endswith(": {'gf2': False, 'char0': True}\n")
+
+    @pytest.mark.parametrize(
+        "argv, test_name",
+        [(["cwl"], "is_componentwise_linear"), (["linres", "--d", "2"], "has_linear_resolution")],
+        ids=["cwl", "linres"],
+    )
+    def test_both_fields_test_once_when_gf2_is_linear(
+        self, files, monkeypatch, capsys, argv, test_name
+    ):
+        # both lists GF(2) before char 0, so a GF(2) "linear" is taken for
+        # char 0 without a second call
+        import srchordal.cli
+
+        real = getattr(srchordal.cli, test_name)
+        fields = []
+
+        def counting(ideal, field, **budget):
+            fields.append(field.label)
+            return real(ideal, field, **budget)
+
+        monkeypatch.setattr(srchordal.cli, test_name, counting)
+        key = "componentwise_linear" if argv[0] == "cwl" else "linear_resolution"
+        code, out = run(argv + ["--field", "both", files["triangle"]], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)[key] == {"gf2": True, "char0": True}
+        assert fields == ["gf2"]
 
     def test_linres_degree_mismatch_is_an_input_error(self, files, capsys):
         code = main(["linres", "--d", "3", files["triangle"]])

@@ -33,7 +33,7 @@ from srchordal import (
     stanley_reisner_ideal,
 )
 from srchordal.families import _alexander_dual_of
-from data import DUNCE_HAT_FACETS, EX0_FACETS, RP2_FACETS
+from data import DUNCE_HAT_FACETS, EX0_FACETS, FIG4_FACETS, RP2_FACETS
 from generators import (
     random_complex,
     random_gotzmann_ideal,
@@ -41,12 +41,14 @@ from generators import (
     random_proper_complex,
     random_rp2_extension,
     random_shifted_complex,
+    random_small_facet_complex,
     random_stable_ideal,
     random_strongly_stable_monomial_ideal,
 )
 from oracles import (
     brute_exchange_closed,
     brute_is_shifted,
+    brute_is_vertex_decomposable,
     stable_betti,
     unbounded_componentwise_linear,
 )
@@ -200,6 +202,49 @@ class TestVertexDecomposable:
     def test_no_vertices_errors(self):
         with pytest.raises(VertexRangeError):
             shedding_vertices(SimplicialComplex.empty(3))
+
+    def test_matches_the_definition_on_face_sets(self):
+        rng = random.Random(510)
+        draws = [
+            lambda: random_small_facet_complex(rng, 3, 7),
+            lambda: random_shifted_complex(rng, 7),
+            lambda: random_complex(rng, 7),
+        ]
+        verdicts = []
+        for k in range(300):
+            cx = draws[k % 3]()
+            verdicts.append(is_vertex_decomposable(cx))
+            assert verdicts[-1] == brute_is_vertex_decomposable(cx), cx
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize(
+        "n, facets, verdict, splits",
+        [
+            (3, [[1, 2], [2, 3]], True, 1),
+            (4, [[1, 2], [3, 4]], False, 4),
+            (5, EX0_FACETS, True, 7),
+            (7, FIG4_FACETS, False, 134),
+            (8, DUNCE_HAT_FACETS, False, 231),
+        ],
+        ids=["path", "two_edges", "example0", "fig4", "dunce_hat"],
+    )
+    def test_each_subcomplex_is_split_once(self, monkeypatch, n, facets, verdict, splits):
+        # the memo decides each subcomplex once, so no (subcomplex,
+        # vertex) pair is tried twice; without it the dunce hat takes
+        # 582 splits and figure 4 takes 211
+        import srchordal.families
+
+        real = srchordal.families._shedding_split
+        calls = []
+
+        def counting(c, v):
+            calls.append((c.ambient, c.facets, v))
+            return real(c, v)
+
+        monkeypatch.setattr(srchordal.families, "_shedding_split", counting)
+        assert is_vertex_decomposable(SimplicialComplex.from_facets(n, facets)) == verdict
+        assert len(calls) == splits
+        assert len(set(calls)) == splits
 
     def test_decomposable_implies_dual_chordal(self):
         rng = random.Random(504)
