@@ -16,19 +16,23 @@ so a failed branch must not decide the verdict. Certificates are
 returned as FreeSequence values that `verify_sequence` replays without
 trusting the search.
 
-An order search runs on one int of state: the (d+1)-faces of the start
-still present, one bit each. A move at E clears the bits of the
-(d+1)-faces containing E, and every state reached is the start cut down
-to the faces whose (d+1)-subsets all survive, so the int fixes the
-state, keys the memo of failed states, and tells the goal and the free
-non-facet d-sets without a complex being built (see `_order_rule`). The
-candidates are read off it lazily, in ascending order: a search that
-does not backtrack tests only the d-sets up to the first that leads on.
-A d-set E is free when U, the union of the live (d+1)-faces containing
-it, is a face of the state. Every such face contains E, so U is the
-union of the live faces alone, and those are the live bits of E's star:
-U, and whether it is a face, depend on those bits and not on E, so one
-memo keyed by them serves every d-set, state and probe of a rule.
+An order search reads only the (d+1)-faces of its complex and answers
+for the complex's d-closure, which they fix: Cl_d holds every set of at
+most d vertices and each larger set whose (d+1)-subsets are all faces.
+So `d_chordal_order` never builds the closure. The search runs on one
+int of state: the (d+1)-faces still present, one bit each. A move at E
+clears the bits of the (d+1)-faces containing E, and every state reached
+is the closure cut down to the faces whose (d+1)-subsets all survive,
+so the int fixes the state, keys the memo of failed states, and tells
+the goal and the free non-facet d-sets without a complex being built
+(see `_order_rule`). The candidates are read off it lazily, in
+ascending order: a search that does not backtrack tests only the d-sets
+up to the first that leads on. A d-set E is free when U, the union of
+the live (d+1)-faces containing it, is a face of the state. Every such
+face contains E, so U is the union of the live faces alone, and those
+are the live bits of E's star: U, and whether it is a face, depend on
+those bits and not on E, so one memo keyed by them serves every d-set,
+state and probe of a rule.
 A collapse search keeps the complex as its state and recounts its free
 faces at every state: its moves remove faces of every size, and on the
 collapsible complexes of the `certify` benchmark it never backtracks.
@@ -118,20 +122,12 @@ def d_closure(cx: SimplicialComplex, d: int, *, budget: int = DEFAULT_BUDGET) ->
       there, once per level, instead of extending each face of the level
       below by every ambient vertex.
     More than `budget` faces grown raise SearchBudgetExceeded. The first
-    level is bounded before it is listed: it holds comb(|A|, d) d-sets
-    and at least the (d+1)-subsets of the largest facet, so a bound over
-    the budget means the level's own count is over it too.
+    level is bounded before it is listed (`_check_closure`).
     """
-    if d < 1:
-        raise DimensionRangeError(f"closure parameter d must be >= 1, got {d}")
-    if cx.is_void:
-        raise VoidComplexError("the void complex has no d-closure")
+    over = _check_closure(cx, d, budget)
     amb = cx.ambient
     if amb.bit_count() < d:
         return SimplicialComplex._raw(cx.n, amb, (amb,))
-    over = f"the {d}-closure exceeded the face budget ({budget})"
-    if comb(amb.bit_count(), d) + max(comb(f.bit_count(), d + 1) for f in cx.facets) > budget:
-        raise SearchBudgetExceeded(over)
     bits = [1 << (v - 1) for v in iter_vertices(amb)]
     low, level = set(subsets_of_size(amb, d)), set(cx.faces_of_dim(d))
     grown = len(low)
@@ -155,6 +151,25 @@ def d_closure(cx: SimplicialComplex, d: int, *, budget: int = DEFAULT_BUDGET) ->
         facets += [f for f in low if f not in covered]
         low, level = level, nxt
     return SimplicialComplex._raw(cx.n, amb, tuple(sorted(facets)))
+
+
+def _check_closure(cx: SimplicialComplex, d: int, budget: int) -> str:
+    """Refuse a d below 1, the void complex and a complex whose d-closure
+    is over `budget` faces by its first level alone; returns the message
+    of a budget exit. That level holds comb(|A|, d) d-sets and at least
+    the (d+1)-subsets of the largest facet, so a bound over the budget
+    means the level's own count is over it too. Checked before anything
+    is listed, by `d_closure` and by `d_chordal_order`, which builds no
+    closure but keeps every exit this bound gives."""
+    if d < 1:
+        raise DimensionRangeError(f"closure parameter d must be >= 1, got {d}")
+    if cx.is_void:
+        raise VoidComplexError("the void complex has no d-closure")
+    over = f"the {d}-closure exceeded the face budget ({budget})"
+    top = max(comb(f.bit_count(), d + 1) for f in cx.facets)
+    if comb(cx.ambient.bit_count(), d) + top > budget:
+        raise SearchBudgetExceeded(over)
+    return over
 
 
 def is_d_closure(cx: SimplicialComplex, d: int) -> bool:
@@ -203,7 +218,7 @@ def find_simplicial_order(
     """
     if not is_d_closure(cx, d):
         raise NotAClosureError(f"complex is not a {d}-closure")
-    return _search(cx, KIND_SIMPLICIAL_ORDER, d, budget)
+    return _search(_order_rule(cx.faces_of_dim(d), d), KIND_SIMPLICIAL_ORDER, d, budget)
 
 
 def is_d_collapsible(
@@ -216,7 +231,7 @@ def is_d_collapsible(
     certificate keeps the d asked for."""
     if d < 1:
         raise DimensionRangeError(f"collapsing parameter d must be >= 1, got {d}")
-    return _search(cx, KIND_COLLAPSE, d, budget)
+    return _search(_collapse_rule(cx, d), KIND_COLLAPSE, d, budget)
 
 
 def _collapse_rule(
@@ -240,30 +255,33 @@ def _collapse_rule(
     return cx, candidates, SimplicialComplex.delete_all, lambda cur: not cur.facets
 
 
-def _order_rule(cx: SimplicialComplex, d: int) -> tuple[int, Callable, Callable, Callable]:
+def _order_rule(tops: list[int], d: int) -> tuple[int, Callable, Callable, Callable]:
     """The start state, candidates, move and goal of a simplicial-order
-    search on cx, on states that are ints: `alive` has one bit for each
-    (d+1)-face of cx still present, numbered by `faces_of_dim(d)`, and
-    star[E] holds the bits of the (d+1)-faces that contain the d-set E.
+    search on the d-closure C of a complex whose (d+1)-faces are `tops`,
+    ascending. C holds every set of at most d vertices and each larger
+    set whose (d+1)-subsets are all in `tops`, so `tops` fixes C and its
+    (d+1)-faces are `tops` again. The states are ints: `alive` has one
+    bit for each (d+1)-face still present, numbered by its place in
+    `tops`, and star[E] holds the bits of the (d+1)-faces that contain
+    the d-set E.
 
     * Move: a move at E removes the faces strictly containing E, so it
       leaves `alive & ~star[E]`.
-    * Goal: the (d-1)-skeleton of the simplex on the ambient set A. When
-      |A| <= d that is A itself, so the goal is that cx is (A,). Otherwise
-      it is reached when no (d+1)-face is left, provided cx holds every
-      d-subset of A, as a d-closure does. A d-face of cx is either a
-      facet or lies in a (d+1)-face, so the d-faces are counted as the
-      d-vertex facets and the keys of star.
+    * Goal: the (d-1)-skeleton of the simplex on the ambient set. C
+      holds every d-subset of it, so the goal is reached when no
+      (d+1)-face is left; with at most d ambient vertices C is the
+      simplex, which has none, and the search ends at its start.
     * Candidates, ascending: E qualifies iff star[E] & alive is not zero
       (E lies in a larger face, so it is a face and no facet) and E is
       free. Let L be the vertices v with E+v alive, and U = E + L, the
       union of the alive (d+1)-faces that contain E. Every face of the
       state containing E lies inside U, so E lies in one facet iff U is
-      a face of the state, iff U is a face of cx whose (d+1)-subsets all
-      survive (every state is cx cut down to those faces, see `_search`).
-      The need of U holds the bits of those subsets, or a bit no state
-      holds when U is no face of cx, so the test is `need & ~alive == 0`.
-      This holds on any start, closure or not.
+      a face of the state, iff every (d+1)-subset of U is in `tops`, so
+      U is a face of C, and survives (every state is C cut down to the
+      faces whose (d+1)-subsets all survive, see `_search`). The need of
+      U holds the bits of those subsets, or a bit no state holds when
+      the lookup misses one, where it stops, so the test is
+      `need & ~alive == 0`.
     * Memo: every live (d+1)-face containing E contains E, so U is the
       union of the faces of live = star[E] & alive alone, and E itself
       adds nothing to it. So U and its need depend on `live` and not on
@@ -274,7 +292,6 @@ def _order_rule(cx: SimplicialComplex, d: int) -> tuple[int, Callable, Callable,
     The candidates are a generator over the d-sets in ascending order,
     so a search that leads on from its first candidate, as a successful
     one mostly does, tests only the d-sets up to that candidate."""
-    tops = cx.faces_of_dim(d)
     bit = {t: 1 << i for i, t in enumerate(tops)}
     star: dict[int, int] = {}
     for t, b in bit.items():
@@ -293,9 +310,10 @@ def _order_rule(cx: SimplicialComplex, d: int) -> tuple[int, Callable, Callable,
             low = live & -live
             u |= tops[low.bit_length() - 1]
             live ^= low
-        if not any(u & ~f == 0 for f in cx.facets):
+        try:
+            return sum(map(bit.__getitem__, subsets_of_size(u, d + 1)))  # distinct bits: their OR
+        except KeyError:  # the first (d+1)-subset of U not in tops
             return absent
-        return sum(map(bit.__getitem__, subsets_of_size(u, d + 1)))  # distinct bits: their OR
 
     def candidates(alive: int) -> Iterator[int]:
         for e, s in stars:
@@ -307,17 +325,7 @@ def _order_rule(cx: SimplicialComplex, d: int) -> tuple[int, Callable, Callable,
                 if not need & ~alive:
                     yield e
 
-    size = cx.ambient.bit_count()
-    if size <= d:
-        full = cx.facets == (cx.ambient,)
-    else:
-        full = len(star) + sum(f.bit_count() == d for f in cx.facets) == comb(size, d)
-    return (
-        absent - 1,
-        candidates,
-        lambda alive, e: alive & ~star[e],
-        lambda alive: full and not alive,
-    )
+    return absent - 1, candidates, lambda alive, e: alive & ~star[e], lambda alive: not alive
 
 
 def _dfs(
@@ -360,24 +368,24 @@ def _dfs(
     return None
 
 
-def _search(cx: SimplicialComplex, kind: str, d: int, budget: int) -> FreeSequence | None:
-    """Depth-first search for a free sequence of the given kind, trying
-    candidates in ascending mask order and skipping states already known
-    to fail; None when none exists. The caller has checked cx: a
-    simplicial order needs a d-closure. Both kinds run the one loop
-    `_dfs`, on the rule of their kind, and differ in their states.
+def _search(rule: tuple, kind: str, d: int, budget: int) -> FreeSequence | None:
+    """Depth-first search for a free sequence of the given kind on its
+    rule, the start, candidates, move and goal that `_collapse_rule` or
+    `_order_rule` builds, trying candidates in ascending mask order and
+    skipping states already known to fail; None when none exists. Both
+    kinds run the one loop `_dfs` and differ in their states.
 
-    A simplicial-order state is one int, the (d+1)-faces of cx still
-    present (`_order_rule`), so no move builds a complex. That int fixes
-    the state on any start, not only on a d-closure:
+    A simplicial-order state is one int, the (d+1)-faces of the d-closure
+    still present (`_order_rule`), so no move builds a complex. That int
+    fixes the state:
     * a move at a d-set E removes exactly the faces that strictly
       contain E, which have more than d vertices, so every face with at
-      most d vertices stays as in cx;
-    * a face G of cx with more than d+1 vertices survives iff no moved
-      E lies in G, iff each (d+1)-subset of G survives, since E lies in
-      G exactly when it lies in a (d+1)-subset of G (E plus a vertex of
-      G outside it).
-    So every state reached is cx cut down to the faces whose
+      most d vertices stays;
+    * a face G with more than d+1 vertices survives iff no moved E lies
+      in G, iff each (d+1)-subset of G survives, since E lies in G
+      exactly when it lies in a (d+1)-subset of G (E plus a vertex of G
+      outside it).
+    So every state reached is the closure cut down to the faces whose
     (d+1)-subsets all survive, and two states with the same (d+1)-faces
     are equal. The memo of failed states holds these ints, and the
     candidates and the goal are read off them.
@@ -387,7 +395,6 @@ def _search(cx: SimplicialComplex, kind: str, d: int, budget: int) -> FreeSequen
     Its moves remove faces of every size, so no one level of faces fixes
     the state.
     """
-    rule = (_collapse_rule if kind == KIND_COLLAPSE else _order_rule)(cx, d)
     faces = _dfs(*rule, budget, kind)
     return None if faces is None else FreeSequence(kind, d, faces)
 
@@ -404,8 +411,12 @@ def d_chordal_order(
     """A simplicial order of the d-closure of the complex, as
     `find_simplicial_order` returns it, or None when there is none.
 
-    The closure is built here under its own budget and not checked again."""
-    return _search(d_closure(cx, d, budget=budget), KIND_SIMPLICIAL_ORDER, d, budget)
+    The search reads only the complex's (d+1)-faces, which fix the
+    closure (`_order_rule`), so the closure is never built. The complex
+    is held to the closure's up-front face bound (`_check_closure`), not
+    to its growth, and then the search to its node budget."""
+    _check_closure(cx, d, budget)
+    return _search(_order_rule(cx.faces_of_dim(d), d), KIND_SIMPLICIAL_ORDER, d, budget)
 
 
 def simplicial_deletions(
@@ -431,7 +442,7 @@ def simplicial_deletions(
     containing E, which is deleted.
     """
     closure = d_closure(cx, d, budget=budget)
-    alive, candidates, move, done = _order_rule(closure, d)
+    alive, candidates, move, done = _order_rule(closure.faces_of_dim(d), d)
 
     def search(start: int) -> tuple[int, ...] | None:
         return _dfs(start, candidates, move, done, budget, KIND_SIMPLICIAL_ORDER)

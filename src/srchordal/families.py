@@ -234,8 +234,9 @@ def classify(ideal: SquarefreeIdeal, *, budget: int = DEFAULT_BUDGET) -> dict:
     component, and a component whose generators the greedy of
     `betti._linear_quotients` can order is decided linear without a
     walk (see `betti.nonlinear_witness`). `budget` bounds each
-    chordality search, each d-closure and each LCM lattice that the
-    componentwise linearity check walks.
+    chordality search, each d-closure's up-front face bound (the search
+    reads only the (d+1)-faces and never builds the closure) and each
+    LCM lattice that the componentwise linearity check walks.
 
     The dual's facets are the complements in [n] of the generators, so
     `is_shifted` on it runs the very exchange of

@@ -32,13 +32,7 @@ from srchordal import (
     verify_sequence,
 )
 from srchordal.bitsets import subsets_of_size
-from srchordal.chordality import (
-    DEFAULT_BUDGET,
-    KIND_SIMPLICIAL_ORDER,
-    _collapse_rule,
-    _free_faces,
-    _search,
-)
+from srchordal.chordality import _collapse_rule, _free_faces
 from data import (
     BUDGET_GADGET_FACETS,
     DUNCE_HAT_FACETS,
@@ -297,10 +291,19 @@ class TestFindSimplicialOrder:
     )
     def test_a_small_ambient_set_is_reached_only_as_the_simplex(self, n, facets, ambient, d):
         # with at most d ambient vertices the goal is the simplex on
-        # them, so any other start has no order
+        # them, so any other start has no order; the search refuses such
+        # a start, and on the raw complex answers for its closure, which
+        # is that simplex and needs no move
         cx = SimplicialComplex(n, facets, ambient=fmask(ambient))
         assert not is_d_closure(cx, d)
-        assert _search(cx, KIND_SIMPLICIAL_ORDER, d, DEFAULT_BUDGET) is None
+        with pytest.raises(NotAClosureError):
+            find_simplicial_order(cx, d)
+        if cx.is_void:
+            with pytest.raises(VoidComplexError):
+                d_chordal_order(cx, d)
+        else:
+            assert d_closure(cx, d) == SimplicialComplex(n, [ambient], ambient=fmask(ambient))
+            assert d_chordal_order(cx, d) == FreeSequence("simplicial_order", d, ())
         assert not brute_has_simplicial_order(cx, d)
 
     @pytest.mark.parametrize(
@@ -316,13 +319,15 @@ class TestFindSimplicialOrder:
         # moves never add a face, so a start that lacks a d-subset of its
         # ambient set never reaches the (d-1)-skeleton, though its moves
         # remove every (d+1)-face; with the missing d-sets added it has
-        # an order
+        # an order, which the search on the raw complex answers with
         cx = SimplicialComplex.from_facets(n, facets)
         filled = d_closure(cx, d)
         order = find_simplicial_order(filled, d)
         assert order is not None
+        assert d_chordal_order(cx, d) == order
         assert not verify_sequence(cx, order, d)
-        assert _search(cx, KIND_SIMPLICIAL_ORDER, d, DEFAULT_BUDGET) is None
+        with pytest.raises(NotAClosureError):
+            find_simplicial_order(cx, d)
         assert not brute_has_simplicial_order(cx, d)
 
     def test_budget_exhaustion_raises(self):
@@ -350,13 +355,26 @@ class TestIsDChordal:
         assert not is_d_chordal(DUNCE, 2)
 
     def test_order_of_the_closure_is_the_searched_order(self):
-        for _, cx in complex_draws(707, 1707, 40, 6):
+        # d_chordal_order reads the complex's (d+1)-faces and never builds
+        # the closure; its certificate, or None, is the checked search's
+        # on the closure, on drawn complexes and on ones with a hole
+        # planted that the rest of the complex may or may not fill
+        draws, verdicts = 0, set()
+        for rng, cx in complex_draws(707, 1707, 75, 7):
             for d in (1, 2, 3):
-                order = d_chordal_order(cx, d)
-                assert order == find_simplicial_order(d_closure(cx, d), d)
-                assert (order is not None) == is_d_chordal(cx, d)
-                if order is not None:
-                    assert verify_sequence(d_closure(cx, d), order, d)
+                starts = [cx]
+                if d < 3 and cx.n >= 2 + 2 * d:
+                    starts.append(plant_hole(rng, cx, d))
+                for start in starts:
+                    order = d_chordal_order(start, d)
+                    closure = d_closure(start, d)
+                    assert order == find_simplicial_order(closure, d)
+                    assert (order is not None) == is_d_chordal(start, d)
+                    if order is not None:
+                        assert verify_sequence(closure, order, d)
+                    verdicts.add(order is not None)
+                    draws += 1
+        assert draws >= 300 and verdicts == {False, True}
 
     def test_simplicial_deletions_match_the_checked_searches(self):
         # the checked public searches reject a complex that is not a
@@ -504,12 +522,18 @@ class TestSearchPins:
     def test_exhaustive_search_tree_size(self, cx, order_nodes, collapse_moves):
         # both searches fail, so the nodes counted cover the whole tree;
         # each is counted by its node budget, which also counts the moves
-        # onto states known to fail
+        # onto states known to fail. The order search on the raw complex
+        # walks the closure's tree; at budget 0 the closure's face bound
+        # refuses it before any search
         closure = d_closure(cx, 2)
-        assert find_simplicial_order(closure, 2, budget=order_nodes) is None
+        searches = [(find_simplicial_order, closure)]
         if order_nodes:
-            with pytest.raises(SearchBudgetExceeded):
-                find_simplicial_order(closure, 2, budget=order_nodes - 1)
+            searches.append((d_chordal_order, cx))
+        for search, start in searches:
+            assert search(start, 2, budget=order_nodes) is None
+            if order_nodes:
+                with pytest.raises(SearchBudgetExceeded, match=r"^simplicial-order search"):
+                    search(start, 2, budget=order_nodes - 1)
         assert is_d_collapsible(closure, 2, budget=collapse_moves) is None
         with pytest.raises(SearchBudgetExceeded):
             is_d_collapsible(closure, 2, budget=collapse_moves - 1)
@@ -564,11 +588,13 @@ class TestSearchPins:
 
     def test_budget_gadget_tree_size(self):
         # the exhaustive order search behind the budget-exhausting
-        # operation of the refute benchmark takes exactly 43,008 moves
+        # operation of the refute benchmark takes exactly 43,008 moves,
+        # on the closure and on the raw complex alike
         closure = d_closure(GADGET, 2)
-        assert find_simplicial_order(closure, 2, budget=43_008) is None
-        with pytest.raises(SearchBudgetExceeded):
-            find_simplicial_order(closure, 2, budget=43_007)
+        for search, start in ((find_simplicial_order, closure), (d_chordal_order, GADGET)):
+            assert search(start, 2, budget=43_008) is None
+            with pytest.raises(SearchBudgetExceeded, match=r"^simplicial-order search"):
+                search(start, 2, budget=43_007)
 
 
 class TestOrderCandidates:
@@ -670,11 +696,11 @@ class TestOrderOracle:
     def test_order_search_matches_a_brute_force_search(self):
         # the order search against an exhaustive search over explicit
         # face sets: on d-closures, and on starts that are not closures,
-        # where the key of the dead-state memo must still fix the state.
-        # Those are each start with every d-set added, and the drawn
-        # starts of dimension at most 2: no non-closure reaches the
-        # skeleton, so the brute force walks every state one reaches,
-        # which is slow on larger ones
+        # which have no order and whose search on their (d+1)-faces
+        # answers for their closure. Those are each start with every
+        # d-set added, and the drawn starts of dimension at most 2: no
+        # non-closure reaches the skeleton, so the brute force walks
+        # every state one reaches, which is slow on larger ones
         verdicts, closures, others = set(), 0, 0
         for rng, cx in complex_draws(723, 1723, 40, 7):
             for d in (1, 2, 3):
@@ -684,7 +710,8 @@ class TestOrderOracle:
                 for start in starts:
                     closure = d_closure(start, d)
                     found = find_simplicial_order(closure, d)
-                    assert (found is not None) == brute_has_simplicial_order(closure, d)
+                    has_order = brute_has_simplicial_order(closure, d)
+                    assert (found is not None) == has_order
                     if found is not None:
                         assert verify_sequence(closure, found, d)
                     verdicts.add(found is not None)
@@ -696,10 +723,15 @@ class TestOrderOracle:
                     for other in {start, filled} - {closure}:
                         if other is start and start.dim > 2:
                             continue
-                        got = _search(other, KIND_SIMPLICIAL_ORDER, d, DEFAULT_BUDGET)
-                        assert (got is not None) == brute_has_simplicial_order(other, d)
+                        assert not brute_has_simplicial_order(other, d)
+                        # both others have the start's closure, whose
+                        # brute-force verdict is has_order
+                        assert d_closure(other, d) == closure
+                        got = d_chordal_order(other, d)
+                        assert (got is not None) == has_order
+                        assert got == found
                         if got is not None:
-                            assert verify_sequence(other, got, d)
+                            assert not verify_sequence(other, got, d)
                         others += 1
         assert verdicts == {False, True}
         assert closures >= 300 and others >= 100
@@ -778,7 +810,7 @@ class TestVerifySequence:
         # a d-closure C and its face deletion at a free non-facet d-set
         # are closures together, so verify needs no closure check of its
         # own: the closure's order is rejected on every non-closure, and
-        # no order is found on one
+        # the search refuses one, answering for its closure instead
         rng = random.Random(315)
         rejected = accepted = 0
         for k in range(300):
@@ -792,9 +824,11 @@ class TestVerifySequence:
                 expected = is_d_closure(start, d) and replay_reaches_skeleton(start, seq, d)
                 assert verify_sequence(start, seq, d) == expected
             accepted += 1
+            assert d_chordal_order(cx, d) == seq
             if cx != closure:
                 assert not verify_sequence(cx, seq, d)
-                assert _search(cx, KIND_SIMPLICIAL_ORDER, d, DEFAULT_BUDGET) is None
+                with pytest.raises(NotAClosureError):
+                    find_simplicial_order(cx, d)
                 rejected += 1
         assert rejected > 30 and accepted > rejected
 

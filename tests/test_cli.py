@@ -25,6 +25,7 @@ def files(tmp_path):
         "not_stable": tmp_path / "not_stable.txt",
         "simplex30": tmp_path / "simplex30.json",
         "principal30": tmp_path / "principal30.txt",
+        "principal30_complex": tmp_path / "principal30_complex.json",
         "gadget": tmp_path / "gadget.json",
     }
     paths["triangle"].write_text("x1 x2\nx1 x3\nx2 x3\n")
@@ -42,10 +43,14 @@ def files(tmp_path):
     )
     paths["stable_squares"].write_text("x1^2\nx1*x2\nx2^2\n")
     paths["not_stable"].write_text("x1*x2\nx2^2\n")
-    # closures of these two have about 2^30 faces; never run them without
-    # a small budget
+    # closures of the simplex and of the complex of (x1x2), facets
+    # [30]-{1} and [30]-{2}, have about 2^30 faces; never build them
+    # without a small budget
     paths["simplex30"].write_text(json.dumps({"n": 30, "facets": [list(range(1, 31))]}))
     paths["principal30"].write_text("n=30\nx1*x2\n")
+    paths["principal30_complex"].write_text(json.dumps(
+        {"n": 30, "facets": [list(range(2, 31)), [1] + list(range(3, 31))]}
+    ))
     paths["gadget"].write_text(json.dumps({"n": 10, "facets": BUDGET_GADGET_FACETS}))
     return {name: str(p) for name, p in paths.items()}
 
@@ -86,12 +91,12 @@ class TestExitStatus:
         [
             (["closure", "--d", "2", "--budget", "1000", "simplex30"],
              "the 2-closure exceeded the face budget (1000)"),
-            (["classify", "--budget", "10000", "principal30"],
+            (["closure", "--d", "1", "--budget", "10000", "principal30_complex"],
              "the 1-closure exceeded the face budget (10000)"),
             (["chordal", "--d", "2", "--budget", "2000", "gadget"],
              "simplicial-order search exceeded the node budget (2000)"),
         ],
-        ids=["closure", "classify", "search_after_a_small_closure"],
+        ids=["closure", "closure_growth", "search_after_a_small_closure"],
     )
     def test_closure_budget(self, files, capsys, argv, message):
         code = main(argv[:-1] + [files[argv[-1]]])
@@ -99,6 +104,29 @@ class TestExitStatus:
         assert code == EXIT_BUDGET
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["classify", "--budget", "10000"], "principal30"),
+            (["chordal", "--budget", "10000"], "principal30_complex"),
+        ],
+        ids=["classify", "chordal"],
+    )
+    def test_chordality_never_grows_the_closure(self, files, capsys, argv, name):
+        # the 1-closure of the complex of (x1x2) has about 2^30 faces and
+        # `closure` stops growing it at 10000, but the order search reads
+        # only its 434 edges: vertex 1 is free, and so is every vertex
+        # after it
+        tracemalloc.start()
+        try:
+            code = main(argv + [files[name]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["chordal"] is True
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize(
         "n, argv, message",
@@ -696,7 +724,8 @@ class TestPrettyFormat:
 
 class TestClosureCount:
     def test_one_closure_per_chordal_d_operation(self, files, monkeypatch, capsys):
-        # the search trusts the closure it is handed instead of rebuilding it
+        # at most one closure, and in fact none: the order search reads
+        # the complex's (d+1)-faces, which fix its d-closure
         import srchordal.chordality
         import srchordal.cli
 
@@ -711,16 +740,14 @@ class TestClosureCount:
         monkeypatch.setattr(srchordal.cli, "d_closure", counting)
         code, out = run(["chordal", "--d", "2", files["ex0"]], capsys)
         assert code == EXIT_OK and json.loads(out)["d_chordal"] is True
-        assert calls == [2]
-        calls.clear()
-        code, _ = run(["chordal", files["ex0"]], capsys)
-        assert code == EXIT_OK
-        assert calls == [1, 2]
-        calls.clear()
-        assert srchordal.chordality.is_d_chordal(
-            srchordal.cli.SimplicialComplex.from_facets(5, EX0_FACETS), 2
-        )
-        assert calls == [2]
+        code, out = run(["chordal", files["ex0"]], capsys)
+        assert code == EXIT_OK and json.loads(out)["checked_d"] == [1, 2]
+        code, out = run(["classify", files["triangle"]], capsys)
+        assert code == EXIT_OK and json.loads(out)["chordal"] is True
+        ex0 = srchordal.cli.SimplicialComplex.from_facets(5, EX0_FACETS)
+        assert srchordal.chordality.is_d_chordal(ex0, 2)
+        assert srchordal.chordality.is_chordal(ex0)
+        assert calls == []
 
 
     def test_one_closure_per_experiment_trial(self, monkeypatch, capsys):
