@@ -30,16 +30,9 @@ def iter_vertices(mask: int) -> Iterator[int]:
 
 
 def subsets_of_size(mask: int, k: int) -> Iterator[int]:
-    """All submasks of `mask` with exactly k bits."""
-    if k == 0:
-        yield 0
-        return
-    bits = [1 << (v - 1) for v in iter_vertices(mask)]
-    for combo in combinations(bits, k):
-        m = 0
-        for b in combo:
-            m |= b
-        yield m
+    """All submasks of `mask` with exactly k bits, in the order of
+    `combinations` over its bits; distinct single bits sum to their union."""
+    return map(sum, combinations([1 << (v - 1) for v in iter_vertices(mask)], k))
 
 
 def maximal_elements(masks: Iterable[int]) -> tuple[int, ...]:
@@ -65,22 +58,14 @@ def maximal_elements(masks: Iterable[int]) -> tuple[int, ...]:
 
 
 def minimal_elements(masks: Iterable[int]) -> tuple[int, ...]:
-    """Inclusion-minimal masks, deduplicated, ascending.
-
-    Distinct masks of equal size never contain one another, so each mask
-    is compared only with the kept masks of strictly smaller size.
-    """
-    uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    kept: list[int] = []
-    smaller: list[int] = []
-    size = -1
-    for m in uniq:
-        if m.bit_count() != size:
-            size = m.bit_count()
-            smaller = kept[:]
-        if not any(k & ~m == 0 for k in smaller):
-            kept.append(m)
-    return tuple(sorted(kept))
+    """Inclusion-minimal masks, deduplicated, ascending: complementing in
+    u, the union of the masks, reverses inclusion, so these are the
+    complements of the maximal complements."""
+    masks = set(masks)
+    u = 0
+    for m in masks:
+        u |= m
+    return tuple(sorted(u ^ c for c in maximal_elements(u ^ m for m in masks)))
 
 
 def minimal_transversals(edges: Iterable[int]) -> tuple[int, ...]:

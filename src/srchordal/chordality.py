@@ -6,7 +6,7 @@ vertices and every face above it, and ends at the void complex. A
 simplicial order deletes the proper superfaces of a free d-vertex
 non-facet of a d-closure, and ends at the (d-1)-skeleton. The paper
 proves that a d-closure has a simplicial order iff it is d-collapsible;
-here one search loop, `_dfs`, runs both, and the kinds differ in the
+here one search loop, `_search`, runs both, and the kinds differ in the
 state, the faces tried, the move and the goal.
 
 The search is exhaustive with memoization of failed states, never
@@ -267,6 +267,14 @@ def _order_rule(tops: list[int], d: int) -> tuple[int, Callable, Callable, Calla
 
     * Move: a move at E removes the faces strictly containing E, so it
       leaves `alive & ~star[E]`.
+    * State: those faces have more than d vertices, so every face with
+      at most d vertices stays, and a face G with more than d+1
+      vertices survives iff no moved E lies in G, iff each (d+1)-subset
+      of G survives, since E lies in G exactly when it lies in a
+      (d+1)-subset of G (E plus a vertex of G outside it). So every
+      state reached is C cut down to the faces whose (d+1)-subsets all
+      survive: `alive` fixes it and keys the memo of failed states, and
+      the goal and the candidates are read off it.
     * Goal: the (d-1)-skeleton of the simplex on the ambient set. C
       holds every d-subset of it, so the goal is reached when no
       (d+1)-face is left; with at most d ambient vertices C is the
@@ -277,11 +285,9 @@ def _order_rule(tops: list[int], d: int) -> tuple[int, Callable, Callable, Calla
       union of the alive (d+1)-faces that contain E. Every face of the
       state containing E lies inside U, so E lies in one facet iff U is
       a face of the state, iff every (d+1)-subset of U is in `tops`, so
-      U is a face of C, and survives (every state is C cut down to the
-      faces whose (d+1)-subsets all survive, see `_search`). The need of
-      U holds the bits of those subsets, or a bit no state holds when
-      the lookup misses one, where it stops, so the test is
-      `need & ~alive == 0`.
+      U is a face of C, and survives (see State). The need of U holds
+      the bits of those subsets, or a bit no state holds when the lookup
+      misses one, where it stops, so the test is `need & ~alive == 0`.
     * Memo: every live (d+1)-face containing E contains E, so U is the
       union of the faces of live = star[E] & alive alone, and E itself
       adds nothing to it. So U and its need depend on `live` and not on
@@ -328,23 +334,22 @@ def _order_rule(tops: list[int], d: int) -> tuple[int, Callable, Callable, Calla
     return absent - 1, candidates, lambda alive, e: alive & ~star[e], lambda alive: not alive
 
 
-def _dfs(
-    start, candidates: Callable, move: Callable, done: Callable, budget: int, kind: str
-) -> tuple[int, ...] | None:
-    """Depth-first search from `start` for a sequence of moves that
-    reaches a state `done` accepts, trying each state's candidates in
-    the order given; the faces of the moves, or None when there is none.
-    Each state's candidates are drawn one at a time, only as far as the
-    search gets, so a generator of them is evaluated only up to the
-    candidate that leads on.
+def _search(rule: tuple, kind: str, d: int, budget: int) -> FreeSequence | None:
+    """Depth-first search for a free sequence of the given kind on its
+    rule, the start, candidates, move and goal that `_collapse_rule` or
+    `_order_rule` builds; None when there is none. Each state's
+    candidates are drawn one at a time, in the order given, only as far
+    as the search gets, so a generator of them is evaluated only up to
+    the candidate that leads on.
 
     Every move counts as a node against the budget, including a move
     onto a state already known to fail, which is then not expanded
     again: the memo of failed states holds the states themselves, so
     they must be hashable and equal exactly when they are the same
     state."""
+    start, candidates, move, done = rule
     if done(start):
-        return ()
+        return FreeSequence(kind, d, ())
     nodes = 0
     dead = set()
     frames = [(start, iter(candidates(start)), 0)]
@@ -362,41 +367,10 @@ def _dfs(
             )
         child = move(state, e)
         if done(child):
-            return tuple(fr[2] for fr in frames[1:]) + (e,)
+            return FreeSequence(kind, d, tuple(fr[2] for fr in frames[1:]) + (e,))
         if child not in dead:
             frames.append((child, iter(candidates(child)), e))
     return None
-
-
-def _search(rule: tuple, kind: str, d: int, budget: int) -> FreeSequence | None:
-    """Depth-first search for a free sequence of the given kind on its
-    rule, the start, candidates, move and goal that `_collapse_rule` or
-    `_order_rule` builds, trying candidates in ascending mask order and
-    skipping states already known to fail; None when none exists. Both
-    kinds run the one loop `_dfs` and differ in their states.
-
-    A simplicial-order state is one int, the (d+1)-faces of the d-closure
-    still present (`_order_rule`), so no move builds a complex. That int
-    fixes the state:
-    * a move at a d-set E removes exactly the faces that strictly
-      contain E, which have more than d vertices, so every face with at
-      most d vertices stays;
-    * a face G with more than d+1 vertices survives iff no moved E lies
-      in G, iff each (d+1)-subset of G survives, since E lies in G
-      exactly when it lies in a (d+1)-subset of G (E plus a vertex of G
-      outside it).
-    So every state reached is the closure cut down to the faces whose
-    (d+1)-subsets all survive, and two states with the same (d+1)-faces
-    are equal. The memo of failed states holds these ints, and the
-    candidates and the goal are read off them.
-
-    A collapse state is the complex itself (`_collapse_rule`): the memo
-    holds complexes, and its candidates are recounted from every facet.
-    Its moves remove faces of every size, so no one level of faces fixes
-    the state.
-    """
-    faces = _dfs(*rule, budget, kind)
-    return None if faces is None else FreeSequence(kind, d, faces)
 
 
 def is_d_chordal(cx: SimplicialComplex, d: int, *, budget: int = DEFAULT_BUDGET) -> bool:
@@ -433,7 +407,7 @@ def simplicial_deletions(
     The closure and the rules of its order search are built once, and
     no complex is checked again. The probe at E starts from the
     closure's state with the (d+1)-faces containing E removed, which is
-    the face deletion at E (see `_search`), so its search tree and
+    the face deletion at E (see `_order_rule`), so its search tree and
     verdict are those of a search on that deletion. A face deletion of a
     d-closure C at a d-vertex face E is a d-closure: it keeps every set
     of at most d vertices, and a larger set G not containing E is a face
@@ -444,8 +418,8 @@ def simplicial_deletions(
     closure = d_closure(cx, d, budget=budget)
     alive, candidates, move, done = _order_rule(closure.faces_of_dim(d), d)
 
-    def search(start: int) -> tuple[int, ...] | None:
-        return _dfs(start, candidates, move, done, budget, KIND_SIMPLICIAL_ORDER)
+    def search(start: int) -> FreeSequence | None:
+        return _search((start, candidates, move, done), KIND_SIMPLICIAL_ORDER, d, budget)
 
     if search(alive) is None:
         return None
@@ -484,7 +458,8 @@ def is_chordal(cx: SimplicialComplex, *, budget: int = DEFAULT_BUDGET) -> bool:
 
 
 def verify_sequence(cx: SimplicialComplex, seq: FreeSequence, d: int) -> bool:
-    """Replay a certificate, re-checking every step.
+    """Replay a certificate, re-checking every step; a certificate for
+    another d than the one asked for is rejected.
 
     A collapse deletes a free face with at most d vertices and every face
     containing it (`delete_all`), and must end at the void complex, with
@@ -511,7 +486,7 @@ def verify_sequence(cx: SimplicialComplex, seq: FreeSequence, d: int) -> bool:
     induction back along the replay, a replay that reaches it started at
     a d-closure.
     """
-    if d < 1 or seq.kind not in _SEARCH_NAMES:
+    if d < 1 or d != seq.d or seq.kind not in _SEARCH_NAMES:
         return False
     order = seq.kind == KIND_SIMPLICIAL_ORDER
     move = SimplicialComplex.face_deletion if order else SimplicialComplex.delete_all

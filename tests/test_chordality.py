@@ -548,10 +548,12 @@ class TestSearchPins:
         # the octahedron, 15 of its 48 moves reach a new state and the
         # other 33 land on a state known to fail, which is not expanded
         closure = d_closure(cx, 2)
-        real = srchordal.chordality._dfs
+        real = srchordal.chordality._search
         states, steps = [], []
 
-        def watched(start, candidates, move, done, budget, kind):
+        def watched(rule, kind, d, budget):
+            start, candidates, move, done = rule
+
             def expanding(state):
                 states.append(state)
                 return candidates(state)
@@ -560,9 +562,9 @@ class TestSearchPins:
                 steps.append(e)
                 return move(state, e)
 
-            return real(start, expanding, moving, done, budget, kind)
+            return real((start, expanding, moving, done), kind, d, budget)
 
-        monkeypatch.setattr(srchordal.chordality, "_dfs", watched)
+        monkeypatch.setattr(srchordal.chordality, "_search", watched)
         assert find_simplicial_order(closure, 2) is None
         assert len(steps) == moves
         assert len(states) == built + 1
@@ -606,9 +608,10 @@ class TestOrderCandidates:
         # complex, and a failed search expands each state it reaches
         # once, right after the move that first reaches it
         expanded, moves = [], []
-        real = srchordal.chordality._dfs
+        real = srchordal.chordality._search
 
-        def watched(start, candidates, move, done, budget, kind):
+        def watched(rule, kind, d, budget):
+            start, candidates, move, done = rule
             built = {start: closure}
             last = [start]
 
@@ -627,9 +630,9 @@ class TestOrderCandidates:
                 moves.append(e)
                 return child
 
-            return real(start, expanding, moving, done, budget, kind)
+            return real((start, expanding, moving, done), kind, d, budget)
 
-        monkeypatch.setattr(srchordal.chordality, "_dfs", watched)
+        monkeypatch.setattr(srchordal.chordality, "_search", watched)
         verdicts, dead_hits = set(), 0
         for rng, cx in complex_draws(716, 1716, 50, 7):
             for d in (1, 2, 3):
@@ -658,10 +661,12 @@ class TestOrderCandidates:
         # live star have the same U = E + {v : E+v is a live (d+1)-face},
         # the union of those faces alone, so U contains both; the live
         # star is read off the rule's own move, which clears its bits
-        real = srchordal.chordality._dfs
+        real = srchordal.chordality._search
         shared = 0
 
-        def watched(start, candidates, move, done, budget, kind):
+        def watched(rule, kind, d, budget):
+            start, candidates, move, done = rule
+
             def expanding(state):
                 nonlocal shared
                 union = {}
@@ -677,9 +682,9 @@ class TestOrderCandidates:
                         assert union.setdefault(live, u) == u
                 return candidates(state)
 
-            return real(start, expanding, move, done, budget, kind)
+            return real((start, expanding, move, done), kind, d, budget)
 
-        monkeypatch.setattr(srchordal.chordality, "_dfs", watched)
+        monkeypatch.setattr(srchordal.chordality, "_search", watched)
         for rng, cx in complex_draws(724, 1724, 50, 7):
             for d in (1, 2, 3):
                 closures = [d_closure(cx, d)]
@@ -755,6 +760,19 @@ class TestVerifySequence:
         steps = faces([1, 2], [1], [2], [])
         assert verify_sequence(edge, FreeSequence("collapse", 2, steps), 2)
         assert not verify_sequence(edge, FreeSequence("collapse", 1, steps), 1)
+
+    def test_certificate_for_another_d_rejected(self):
+        # the 1-collapse claim deletes the two-vertex edge first, which
+        # only d = 2 allows; an order of the 2-closure claimed for d = 3
+        # is replayed at d = 2 only when it says d = 2
+        edge = SimplicialComplex.simplex(2)
+        steps = faces([1, 2], [1], [2], [])
+        assert verify_sequence(edge, FreeSequence("collapse", 2, steps), 2)
+        assert not verify_sequence(edge, FreeSequence("collapse", 1, steps), 2)
+        closure = d_closure(EX0, 2)
+        seq = find_simplicial_order(closure, 2)
+        assert verify_sequence(closure, seq, 2)
+        assert not verify_sequence(closure, FreeSequence("simplicial_order", 3, seq.faces), 2)
 
     def test_collapse_face_not_free_rejected(self):
         # {1,3} lies in the facets 134, 136 and 137 of FIG4
