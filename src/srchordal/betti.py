@@ -90,8 +90,7 @@ the single entry (0, 1) -> 1, and (x1*x2) in two variables has
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .bitsets import iter_vertices
 from .complexes import SimplicialComplex
@@ -104,6 +103,7 @@ from .errors import (
 )
 from .ideals import SquarefreeIdeal, degree_component
 from .linalg import gf2_rank, gfp_rank, int_rank
+from .values import Value
 
 _PRIME_LIMIT = 1 << 31
 _FIELD_RE = re.compile(r"gf(?:p:)?([0-9]{1,10})")  # 2^31 has 10 digits
@@ -121,18 +121,18 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Value):
     """Coefficient field: characteristic 0 (exact rationals) or GF(p)."""
 
-    characteristic: int
+    _fields = ("characteristic",)
 
-    def __post_init__(self):
-        c = self.characteristic
-        if c == 0:
-            return
-        if not (2 <= c < _PRIME_LIMIT and _is_prime(c)):
+    def __init__(self, characteristic: int):
+        c = characteristic
+        if type(c) is not int:
+            raise FormatError(f"field characteristic must be an int, got {c!r}")
+        if c != 0 and not (2 <= c < _PRIME_LIMIT and _is_prime(c)):
             raise FormatError(f"field characteristic must be 0 or a prime < 2^31, got {c}")
+        object.__setattr__(self, "characteristic", c)
 
     @property
     def label(self) -> str:
@@ -278,12 +278,14 @@ def reduced_homology_dims(cx: SimplicialComplex, field: FieldSpec = GF2) -> dict
     return _ChainComplex.of_complex(cx, field).reduced_homology(cx.ambient)
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(Value):
     """Graded Betti numbers; zero entries are absent from `entries`."""
 
-    entries: tuple[tuple[tuple[int, int], int], ...]
-    field: FieldSpec
+    _fields = ("entries", "field")
+
+    def __init__(self, entries: tuple[tuple[tuple[int, int], int], ...], field: FieldSpec):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "field", field)
 
     @classmethod
     def from_dict(cls, entries: dict[tuple[int, int], int], field: FieldSpec) -> "BettiTable":

@@ -5,8 +5,8 @@ to the face; the empty face is 0. Everything downstream (facet lists,
 ideal generators, nonfaces) is built out of these masks.
 """
 
+from collections.abc import Iterable, Iterator
 from itertools import combinations
-from typing import Iterable, Iterator
 
 
 def mask_from_vertices(vertices: Iterable[int]) -> int:

@@ -46,9 +46,8 @@ bit arithmetic of the search.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
 from math import comb
-from typing import Callable, Iterator, Sequence
 
 from .bitsets import iter_vertices, maximal_elements, subsets_of_size, vertices_from_mask
 from .complexes import SimplicialComplex, mask_from_json_labels
@@ -60,6 +59,7 @@ from .errors import (
     SearchBudgetExceeded,
     VoidComplexError,
 )
+from .values import Value
 
 KIND_COLLAPSE = "collapse"
 KIND_SIMPLICIAL_ORDER = "simplicial_order"
@@ -67,8 +67,7 @@ KIND_SIMPLICIAL_ORDER = "simplicial_order"
 _SEARCH_NAMES = {KIND_COLLAPSE: "collapsing", KIND_SIMPLICIAL_ORDER: "simplicial-order"}
 
 
-@dataclass(frozen=True)
-class FreeSequence:
+class FreeSequence(Value):
     """A replayable certificate: an ordered list of faces to delete.
 
     kind "collapse": each face is free of dimension < d and is removed
@@ -78,9 +77,12 @@ class FreeSequence:
     the replay must end at the full (d-1)-skeleton of the ambient set.
     """
 
-    kind: str
-    d: int
-    faces: tuple[int, ...]
+    _fields = ("kind", "d", "faces")
+
+    def __init__(self, kind: str, d: int, faces: tuple[int, ...]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "faces", faces)
 
     def to_json_dict(self) -> dict:
         return {

@@ -14,8 +14,7 @@ Conventions that matter everywhere downstream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from collections.abc import Iterable
 
 from .bitsets import (
     iter_vertices,
@@ -32,6 +31,7 @@ from .errors import (
     VertexRangeError,
     VoidComplexError,
 )
+from .values import Value
 
 MAX_VERTICES = 64
 
@@ -50,8 +50,7 @@ def as_mask(face) -> int:
     return mask_from_vertices(labels)
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class SimplicialComplex:
+class SimplicialComplex(Value):
     """A simplicial complex determined by its facet antichain.
 
     `facets` is a sorted tuple of masks with no facet contained in
@@ -60,9 +59,7 @@ class SimplicialComplex:
     equality or hashing.
     """
 
-    n: int = field(compare=False)
-    ambient: int
-    facets: tuple[int, ...]
+    _fields = ("n", "ambient", "facets")
 
     def __init__(self, n: int, facets: Iterable = (), *, ambient: int | None = None):
         if not 1 <= n <= MAX_VERTICES:
@@ -225,6 +222,9 @@ class SimplicialComplex:
         return minimal_transversals(self.ambient & ~f for f in self.facets)
 
     # -- value semantics / serialization ---------------------------------
+
+    def _key(self) -> tuple:
+        return (self.ambient, self.facets)
 
     def __repr__(self) -> str:
         if self.is_void:

@@ -5,8 +5,6 @@ decomposability, the nested-block form, and the σ pipeline).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .betti import BOTH_FIELDS, is_componentwise_linear, linear_by_field
 from .bitsets import iter_vertices
 from .chordality import is_chordal
@@ -19,6 +17,7 @@ from .ideals import (
     squarefree_operator,
     stanley_reisner_complex,
 )
+from .values import Value
 
 
 def _exchange_closed(gens: tuple[int, ...], among: int, top_only: bool) -> bool:
@@ -126,8 +125,7 @@ def is_vertex_decomposable(cx: SimplicialComplex) -> bool:
     return rec(cx)
 
 
-@dataclass(frozen=True)
-class GotzmannDecomposition:
+class GotzmannDecomposition(Value):
     """Nested-block form m1(Z1) + m1m2(Z2) + ... + m1···ms(Zs).
 
     blocks[k] = (mask of m_{k+1}, tuple of z-variables). All supports are
@@ -142,7 +140,10 @@ class GotzmannDecomposition:
     fixes how an ideal is written, not which ideals are accepted.
     """
 
-    blocks: tuple[tuple[int, tuple[int, ...]], ...]
+    _fields = ("blocks",)
+
+    def __init__(self, blocks: tuple[tuple[int, tuple[int, ...]], ...]):
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def is_single_variable(self) -> bool:

@@ -10,8 +10,7 @@ square-free operator and its strongly stable inputs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .bitsets import (
     minimal_elements,
@@ -27,10 +26,10 @@ from .errors import (
     VoidComplexError,
     ZeroIdealError,
 )
+from .values import Value
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class SquarefreeIdeal:
+class SquarefreeIdeal(Value):
     """Minimal square-free generating set over variables x1..xn.
 
     `gens` is a tuple of support masks, inclusion-minimal (no generator
@@ -39,8 +38,7 @@ class SquarefreeIdeal:
     empty support is rejected).
     """
 
-    n: int
-    gens: tuple[int, ...]
+    _fields = ("n", "gens")
 
     def __init__(self, n: int, gens: Iterable = ()):
         if not 1 <= n <= MAX_VERTICES:
@@ -145,16 +143,15 @@ def truncation_leq(ideal: SquarefreeIdeal, k: int) -> SquarefreeIdeal:
 # -- general monomials and the square-free operator ----------------------
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Monomial:
+class Monomial(Value):
     """A monomial as an exponent tuple of fixed length n."""
 
-    exponents: tuple[int, ...]
+    _fields = ("exponents",)
 
     def __init__(self, exponents: Iterable[int]):
         exps = tuple(int(e) for e in exponents)
         if any(e < 0 for e in exps):
-            raise ValueError("exponents must be nonnegative")
+            raise FormatError("exponents must be nonnegative")
         object.__setattr__(self, "exponents", exps)
 
     @property
@@ -180,12 +177,10 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class MonomialIdeal:
+class MonomialIdeal(Value):
     """Monomial ideal given by its minimal generators (exponent tuples)."""
 
-    n: int
-    gens: tuple[Monomial, ...]
+    _fields = ("n", "gens")
 
     def __init__(self, n: int, gens: Iterable[Monomial] = ()):
         if not 1 <= n <= MAX_VERTICES:

@@ -95,6 +95,14 @@ class TestFieldSpec:
         with pytest.raises(FormatError, match=re.escape("prime < 2^31, got 9")):
             FieldSpec.parse("gf9")
 
+    @pytest.mark.parametrize("c", [2.0, 3.0, "3", True, False])
+    def test_rejects_a_characteristic_that_is_not_an_int(self, c):
+        # a float would be labelled gf2.0 and fail in pow only once a
+        # rank is taken; a bool is not an int either
+        with pytest.raises(FormatError) as exc:
+            FieldSpec(c)
+        assert str(exc.value) == f"field characteristic must be an int, got {c!r}"
+
     @pytest.mark.parametrize("label, p", [("gfp:4", 4), ("gf9", 9), ("gf1", 1)])
     def test_reports_the_characteristic_error(self, label, p):
         with pytest.raises(FormatError) as exc:

@@ -277,7 +277,7 @@ class TestValidation:
              "degree component needs j >= 1, got 0"),
             (lambda: truncation_leq(SquarefreeIdeal(3, [[1]]), -1), DimensionRangeError,
              "truncation needs k >= 0, got -1"),
-            (lambda: Monomial([1, -1]), ValueError, "exponents must be nonnegative"),
+            (lambda: Monomial([1, -1]), FormatError, "exponents must be nonnegative"),
             (lambda: MonomialIdeal(0), VertexRangeError, "variable count must be in 1..64, got 0"),
             (lambda: MonomialIdeal(65), VertexRangeError,
              "variable count must be in 1..64, got 65"),

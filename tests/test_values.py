@@ -1,8 +1,16 @@
 """Value semantics of the library's value types: no field can be set or
-deleted, and equal values hash equal."""
+deleted, equal values hash equal, and they survive pickle and copy; and
+what importing the command line loads."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
+import srchordal
 from srchordal import (
     GF2,
     BettiTable,
@@ -15,6 +23,7 @@ from srchordal import (
     SquarefreeIdeal,
     gotzmann_decomposition,
 )
+from srchordal.values import Value
 
 # each value type: its fields, and two ways to build the same value
 VALUES = {
@@ -91,3 +100,70 @@ def test_complex_equality_ignores_n_but_not_ambient():
     for other in (SimplicialComplex(3, [[1]], ambient=0b11),
                   SimplicialComplex(5, [[1]], ambient=0b11)):
         assert other != small and other != wide
+
+
+def test_every_value_type_is_listed():
+    assert {cls.__name__ for cls in Value.__subclasses__()} == set(VALUES)
+
+
+@pytest.mark.parametrize("name", list(VALUES))
+def test_keyword_construction_rebuilds_the_value(name):
+    fields, make, _ = VALUES[name]
+    value = make()
+    again = type(value)(**{attr: getattr(value, attr) for attr in fields})
+    assert again == value and hash(again) == hash(value) and repr(again) == repr(value)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (FieldSpec(3), "FieldSpec(characteristic=3)"),
+        (BettiTable.from_dict({(0, 2): 3, (1, 3): 2}, GF2),
+         "BettiTable(entries=(((0, 2), 3), ((1, 3), 2)), field=FieldSpec(characteristic=2))"),
+        (FreeSequence("collapse", 1, (1, 2)), "FreeSequence(kind='collapse', d=1, faces=(1, 2))"),
+        (GotzmannDecomposition(((0b1, (2, 3)),)), "GotzmannDecomposition(blocks=((1, (2, 3)),))"),
+    ],
+    ids=["FieldSpec", "BettiTable", "FreeSequence", "GotzmannDecomposition"],
+)
+def test_default_reprs(value, text):
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("name", list(VALUES))
+@pytest.mark.parametrize(
+    "clone",
+    [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_pickle_and_copy_round_trip(name, clone):
+    _, make, _ = VALUES[name]
+    value = make()
+    again = clone(value)
+    assert again == value and hash(again) == hash(value) and repr(again) == repr(value)
+
+
+@pytest.mark.parametrize("name", list(VALUES))
+def test_never_equal_to_the_tuple_of_its_fields(name):
+    fields, make, _ = VALUES[name]
+    value = make()
+    assert value != tuple(getattr(value, attr) for attr in fields)
+
+
+# run in a fresh interpreter on the tree under test; the modules already
+# loaded at startup (a site .pth file may preload typing) are diffed away
+IMPORT_CHECK = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import srchordal.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    src = os.path.dirname(os.path.dirname(srchordal.__file__))
+    out = subprocess.run([sys.executable, "-c", IMPORT_CHECK, src],
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    loaded = set(out.split())
+    assert "srchordal.values" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "typing"}, sorted(loaded)
