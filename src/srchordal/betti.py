@@ -30,15 +30,17 @@ its boundary row over the faces one size smaller, in one column index
 per size, and keeps it as the complex grows. For each W it keeps the
 faces inside W (f & ~W == 0) and ranks their rows. That is exact: the
 boundary of a face inside W lies inside W, so the columns of the other
-faces are zero in every kept row. W ascends, so its top vertex never
-falls, and the walk lists only the vertices of U up to the top vertex
-of the W it has reached: a caller that stops early never pays for the
-faces of the rest of Δ_U, of which there may be exponentially many. It
-lists Δ_U rather than Δ on all of [n] because a vertex outside U lies in
-no generator and is a cone point of Δ: Δ has twice the faces of Δ_U for
-each such vertex, none of them inside any W. `reduced_homology_dims`
-lists a whole complex from its facets and takes the restriction at its
-ambient set.
+faces are zero in every kept row. It ranks the maps from the top size
+down, and leaves out of each map the faces that lead a pivot of the map
+one size up, which keeps every rank: the clearing lemma in `linalg`.
+W ascends, so its top vertex never falls, and the walk lists only the
+vertices of U up to the top vertex of the W it has reached: a caller
+that stops early never pays for the faces of the rest of Δ_U, of which
+there may be exponentially many. It lists Δ_U rather than Δ on all of
+[n] because a vertex outside U lies in no generator and is a cone point
+of Δ: Δ has twice the faces of Δ_U for each such vertex, none of them
+inside any W. `reduced_homology_dims` lists a whole complex from its
+facets and takes the restriction at its ambient set.
 
 Over the rationals the walk ranks every boundary map mod 2 first, and
 ranks a map over Q only where GF(2) leaves its rank open. This is the
@@ -52,9 +54,10 @@ of size s, r_s the rank of the map leaving size s), and neither rank
 can have grown over Q. So only a map whose source and target sizes both
 carry GF(2) homology needs a rank over Q; that takes 2-torsion, as in
 the real projective plane. A char-0 chain therefore keeps the GF(2)
-rows alone and builds the signed rows of such a map, for the faces
-inside W, only when it ranks it. Over GF(p), p odd, the chain keeps
-signed rows and every rank is taken mod p.
+rows alone and builds the signed rows of such a map, for all the faces
+inside W, only when it ranks it: a GF(2) lead clears no row over Q.
+Over GF(p), p odd, the chain keeps signed rows and every rank is taken
+mod p.
 
 The same bound, degree by degree, spares char 0 most of its walks. By
 Hochster's formula each Betti number over Q is at most the one over
@@ -102,7 +105,7 @@ from .errors import (
     ZeroIdealError,
 )
 from .ideals import SquarefreeIdeal, degree_component
-from .linalg import gf2_rank, gfp_rank, int_rank
+from .linalg import gf2_pivots, gfp_pivots, int_rank
 from .values import Value
 
 _PRIME_LIMIT = 1 << 31
@@ -147,9 +150,10 @@ class FieldSpec(Value):
         if s in ("char0", "q", "0"):
             return cls(0)
         m = _FIELD_RE.fullmatch(s)
-        if m is None:
+        p = int(m.group(1)) if m else 0
+        if p == 0:  # gf0 names no field; char 0 has its own labels
             raise FormatError(f"bad field label {label!r}")
-        return cls(int(m.group(1)))
+        return cls(p)
 
 
 GF2 = FieldSpec(2)
@@ -242,28 +246,37 @@ class _ChainComplex:
 
     def reduced_homology(self, w: int) -> dict[int, int]:
         """Reduced homology dimensions of the restriction to W, in each
-        degree from -1 to the dimension of the restriction."""
+        degree from -1 to the dimension of the restriction.
+
+        The maps are ranked from the top size down, each over the faces
+        inside W that lead no pivot of the map one size up: clearing,
+        which keeps every rank (see `linalg`).
+        """
         outside = ~w
         p = self.characteristic
-        counts = [1]  # faces inside W by size; the empty face is always there
-        ranks = [0]  # ranks of the boundary maps by size of the faces mapped
-        for faces, rows in zip(self.faces, self.rows):
-            inside = [row for face, row in zip(faces, rows) if not face & outside]
-            if not inside:
+        inside = []  # positions of the faces inside W, by size from 1
+        for faces in self.faces:
+            kept = [i for i, face in enumerate(faces) if not face & outside]
+            if not kept:
                 break
-            counts.append(len(inside))
-            ranks.append(gfp_rank(inside, p) if p % 2 else gf2_rank(inside))
-        ranks.append(0)
+            inside.append(kept)
+        counts = [1] + [len(kept) for kept in inside]  # the empty face is always there
+        ranks = [0] * (len(counts) + 1)  # ranks of the boundary maps by size of the faces mapped
+        pivots: dict = {}  # of the map one size up, keyed by lead
+        for s in range(len(inside), 0, -1):
+            rows = self.rows[s - 1]
+            if p % 2:
+                pivots = gfp_pivots([rows[i] for i in inside[s - 1] if i not in pivots], p)
+            else:
+                pivots = gf2_pivots([rows[i] for i in inside[s - 1] if 1 << i not in pivots])
+            ranks[s] = len(pivots)
         homology = [counts[s] - ranks[s] - ranks[s + 1] for s in range(len(counts))]
         if p == 0:
             for s in range(1, len(counts)):
                 if homology[s - 1] and homology[s]:  # GF(2) homology at both ends
                     index = self.columns[s - 1]
-                    ranks[s] = int_rank([
-                        _signed_row(face, index)
-                        for face in self.faces[s - 1]
-                        if not face & outside
-                    ])
+                    faces = self.faces[s - 1]
+                    ranks[s] = int_rank([_signed_row(faces[i], index) for i in inside[s - 1]])
             homology = [counts[s] - ranks[s] - ranks[s + 1] for s in range(len(counts))]
         return {s - 1: h for s, h in enumerate(homology)}
 

@@ -8,17 +8,37 @@ as much as the face has vertices, whatever the width of the matrix.
 Every routine eliminates on the leading (lowest) column: a row is
 reduced against the pivot stored under its leading column until it is
 zero or leads in a column with no pivot yet, where it becomes the pivot.
-`gf2_rank` keys its pivots by their lowest set bit and XORs into a row
-the pivot under the row's own lowest bit. Both hold that bit and
+`gf2_pivots` keys its pivots by their lowest set bit and XORs into a
+row the pivot under the row's own lowest bit. Both hold that bit and
 neither holds a lower one, so the XOR clears it and sets none below it:
 each step strictly raises the row's lowest bit, and a row meets only
-the pivots it must add, not every pivot found before it. `gfp_rank` and
-`int_rank` key dict rows by their least column in the same way. In
+the pivots it must add, not every pivot found before it. `gfp_pivots`
+and `int_rank` key dict rows by their least column in the same way. In
 every routine the pivots lead in distinct columns, so they are
 independent: in any nonzero combination of them, the least of their
 leading columns is held by one pivot alone, since the others are zero
 below their own leading columns. Every row reduced to zero lies in
-their span, so their count is the rank.
+their span, so their count is the rank, and `gf2_rank` and `gfp_rank`
+are that count.
+
+The pivots, keyed by lead, are returned for clearing (Chen and Kerber,
+"Persistent homology computation with a twist", 2011; Bauer, Kerber
+and Reininghaus, "Clear and compress", 2014). Let ∂_s map the chains
+on faces of size s to those of size s - 1, the row of a face being its
+boundary over the faces one size smaller. When the maps are ranked from
+the top size down, the rows of ∂_s at the leads of the pivots found for
+∂_{s+1} can be left out, and the rank of ∂_s is unchanged. A pivot of
+∂_{s+1} is a field combination of its rows, so it is the boundary of a
+chain, and ∂_s of it is zero: Σ_τ x_τ ∂_s τ = 0 over the columns τ
+where the pivot holds x_τ. Its lead τ0 is its lowest such column, so
+∂_s τ0 is a combination of the ∂_s τ of columns above τ0. Taking the
+left-out rows from the highest column down, each lies in the span of
+the rows kept and the left-out rows above it, so in the span of the
+rows kept. This holds for the pivots of any subset of the rows of
+∂_{s+1}, so each map may itself be cleared by the one above, down to
+size 1. It holds over each field with that field's own pivots, and
+only with them: a GF(2) lead says nothing of a rank over Q, where the
+combination it stands for need not exist.
 
 No floating point anywhere; Betti numbers are integers over a fixed
 field and must be computed exactly. Over the rationals the updates are
@@ -38,14 +58,15 @@ from __future__ import annotations
 from math import gcd
 
 
-def gf2_rank(rows: list[int]) -> int:
-    """Rank over GF(2) of rows given as bitmask ints.
+def gf2_pivots(rows: list[int]) -> dict[int, int]:
+    """Pivots over GF(2) of rows given as bitmask ints, keyed by lead:
+    the pivot's lowest set bit, as a one-bit mask.
 
-    Pivots are kept under their lowest set bit. Each row XORs in the
-    pivot under its own lowest bit, which raises that bit, until the row
-    is zero or its lowest bit has no pivot, where it becomes one. The
-    pivots have distinct lowest bits, so they are independent, and every
-    row lies in their span: the rank is exact.
+    Each row XORs in the pivot under its own lowest bit, which raises
+    that bit, until the row is zero or its lowest bit has no pivot,
+    where it becomes one. The pivots have distinct lowest bits, so they
+    are independent, and every row lies in their span: their count is
+    the rank.
     """
     pivots: dict[int, int] = {}
     for row in rows:
@@ -56,11 +77,17 @@ def gf2_rank(rows: list[int]) -> int:
                 pivots[low] = row
                 break
             row ^= pivot
-    return len(pivots)
+    return pivots
 
 
-def gfp_rank(rows: list[dict[int, int]], p: int) -> int:
-    """Rank over GF(p), p prime, of sparse rows {column: entry}."""
+def gf2_rank(rows: list[int]) -> int:
+    """Rank over GF(2) of rows given as bitmask ints."""
+    return len(gf2_pivots(rows))
+
+
+def gfp_pivots(rows: list[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
+    """Pivots over GF(p), p prime, of sparse rows {column: entry}, keyed
+    by lead: the pivot's least column, where it holds 1."""
     pivots: dict[int, dict[int, int]] = {}
     for given in rows:
         row = {c: x % p for c, x in given.items() if x % p}
@@ -78,7 +105,12 @@ def gfp_rank(rows: list[dict[int, int]], p: int) -> int:
                     row[c] = v
                 else:
                     del row[c]
-    return len(pivots)
+    return pivots
+
+
+def gfp_rank(rows: list[dict[int, int]], p: int) -> int:
+    """Rank over GF(p), p prime, of sparse rows {column: entry}."""
+    return len(gfp_pivots(rows, p))
 
 
 def int_rank(rows: list[dict[int, int]]) -> int:

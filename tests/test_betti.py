@@ -51,17 +51,23 @@ from generators import (
     random_stable_ideal,
     random_vd_dual_ideal,
 )
-from oracles import koszul_betti_squarefree, rational_rank, unbounded_componentwise_linear
+from oracles import (
+    koszul_betti_squarefree,
+    modular_rank,
+    rational_rank,
+    unbounded_componentwise_linear,
+)
 
 EX0 = SimplicialComplex.from_facets(5, EX0_FACETS)
 RP2_IDEAL = stanley_reisner_ideal(SimplicialComplex.from_facets(6, RP2_FACETS))
 BOTH_FIELDS = (GF2, CHAR0)
 
 
-def rational_homology(cx: SimplicialComplex) -> dict[int, int]:
-    """Reduced homology over Q from dense boundary matrices and the
-    oracle's rank, degree by degree."""
-    counts, ranks = [1], [0]
+def dense_boundaries(cx: SimplicialComplex) -> list[list[list[int]]]:
+    """Dense integer boundary matrices of a complex, by size of the faces
+    mapped from 1 up: the rows of the faces with k + 1 vertices over the
+    columns of those with k, each size in `faces_of_dim` order."""
+    maps = []
     lower = {0: 0}
     for k in range(cx.dim + 1):
         faces = cx.faces_of_dim(k)
@@ -71,11 +77,23 @@ def rational_homology(cx: SimplicialComplex) -> dict[int, int]:
             for i, v in enumerate(iter_vertices(face)):
                 row[lower[face & ~(1 << (v - 1))]] = (-1) ** i
             rows.append(row)
-        counts.append(len(faces))
-        ranks.append(rational_rank(rows))
+        maps.append(rows)
         lower = {f: i for i, f in enumerate(faces)}
-    ranks.append(0)
+    return maps
+
+
+def dense_homology(cx: SimplicialComplex, rank) -> dict[int, int]:
+    """Reduced homology from the dense boundary matrices and `rank`,
+    degree by degree."""
+    maps = dense_boundaries(cx)
+    counts = [1] + [len(rows) for rows in maps]
+    ranks = [0] + [rank(rows) for rows in maps] + [0]
     return {k - 1: counts[k] - ranks[k] - ranks[k + 1] for k in range(len(counts))}
+
+
+def rational_homology(cx: SimplicialComplex) -> dict[int, int]:
+    """Reduced homology over Q, from the oracle's rank."""
+    return dense_homology(cx, rational_rank)
 
 
 class TestFieldSpec:
@@ -116,6 +134,13 @@ class TestFieldSpec:
          "gf99999999999999999999", "f2", "gfq:3"],
     )
     def test_rejects_labels_that_are_not_ascii_digits(self, label):
+        with pytest.raises(FormatError) as exc:
+            FieldSpec.parse(label)
+        assert str(exc.value) == f"bad field label {label!r}"
+
+    @pytest.mark.parametrize("label", ["gf0", "gfp:0", "gf00"])
+    def test_rejects_gf0(self, label):
+        # a GF label names a prime field; char 0 is spelled char0, q or 0
         with pytest.raises(FormatError) as exc:
             FieldSpec.parse(label)
         assert str(exc.value) == f"bad field label {label!r}"
@@ -366,6 +391,81 @@ class TestBettiTable:
         assert {"i": 0, "j": 2, "beta": 3} in data["entries"]
         grid = table.pretty()
         assert "2:" in grid and "3" in grid
+
+
+
+FIELDS = (GF2, FieldSpec(3), CHAR0)
+
+
+class TestClearing:
+    """Each map is ranked from the top size down, without the faces that
+    lead a pivot of the map one size up (see `linalg`), and every rank
+    stays as it was."""
+
+    def eliminated_rows(self, monkeypatch, cx, field):
+        # the number of rows handed to the elimination, one map per call
+        import srchordal.betti
+
+        sizes = []
+        for name in ("gf2_pivots", "gfp_pivots"):
+            real = getattr(srchordal.betti, name)
+
+            def counting(rows, *p, real=real):
+                sizes.append(len(rows))
+                return real(rows, *p)
+
+            monkeypatch.setattr(srchordal.betti, name, counting)
+        homology = reduced_homology_dims(cx, field)
+        monkeypatch.undo()
+        return sizes, homology
+
+    def test_rows_eliminated_are_the_faces_less_the_rank_above(self, monkeypatch):
+        # Over GF(p) the map out of size s meets c_s - r_{s+1} rows: the
+        # c_s faces of size s less one lead for each pivot of the map out
+        # of size s + 1. Char 0 clears its GF(2) ranks with GF(2) leads.
+        rng = random.Random(431)
+        tetrahedron = SimplicialComplex.from_facets(4, [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])
+        rp2 = SimplicialComplex.from_facets(6, RP2_FACETS)
+        complexes = [tetrahedron, rp2] + [random_small_facet_complex(rng, 4, 8) for _ in range(20)]
+        cleared = 0
+        for cx in complexes:
+            maps = dense_boundaries(cx)
+            for field in FIELDS:
+                p = field.characteristic or 2
+                ranks = [modular_rank(rows, p) for rows in maps] + [0]
+                expected = [len(maps[s]) - ranks[s + 1] for s in reversed(range(len(maps)))]
+                sizes, homology = self.eliminated_rows(monkeypatch, cx, field)
+                assert sizes == expected, (cx, field)
+                rank = rational_rank if field == CHAR0 else (lambda rows: modular_rank(rows, p))
+                assert homology == dense_homology(cx, rank), (cx, field)
+                cleared += sum(len(rows) for rows in maps) - sum(sizes)
+        assert cleared > 0
+        sizes, _ = self.eliminated_rows(monkeypatch, tetrahedron, GF2)
+        assert sizes == [4, 6 - 3, 4 - 3]
+
+    def test_agrees_with_the_oracles_on_random_ideals(self):
+        # Tables against the Koszul oracle over each field, and the
+        # homology of the whole complex against dense ranks. The
+        # RP^2 extensions have 2-torsion, so GF(2) differs from GF(3)
+        # and char 0 on them.
+        rng = random.Random(432)
+        ideals = [random_ideal(rng, 9, min_n=6) for _ in range(15)]
+        ideals += [stanley_reisner_ideal(random_small_facet_complex(rng, 5, 8)) for _ in range(5)]
+        ideals += [stanley_reisner_ideal(random_rp2_extension(rng, 7 + k % 2)) for k in range(3)]
+        differ = 0
+        for ideal in ideals:
+            tables = {}
+            for field in FIELDS:
+                tables[field] = betti_table(ideal, field).as_dict()
+                expected = koszul_betti_squarefree(ideal, field.characteristic)
+                assert tables[field] == expected, (ideal, field)
+            differ += tables[GF2] != tables[CHAR0]
+            cx = stanley_reisner_complex(ideal)
+            assert reduced_homology_dims(cx, CHAR0) == rational_homology(cx), ideal
+            for p in (2, 3):
+                expected = dense_homology(cx, lambda rows: modular_rank(rows, p))
+                assert reduced_homology_dims(cx, FieldSpec(p)) == expected, (ideal, p)
+        assert differ >= 3
 
 
 class TestRegularity:

@@ -286,6 +286,15 @@ class TestExitStatus:
         assert captured.out == ""
         assert captured.err == "error: field characteristic must be 0 or a prime < 2^31, got 4\n"
 
+    @pytest.mark.parametrize("label", ["gf0", "gfp:0", "gf00"])
+    def test_gf0_is_no_field(self, files, capsys, label):
+        # a GF label names a prime field, never char 0
+        code = main(["betti", "--field", label, files["triangle"]])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == f"error: bad field label {label!r}\n"
+
     def test_negative_budget_is_rejected(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["chordal", "--budget", "-5", files["ex0"]])

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from srchordal.bitsets import iter_vertices
-from srchordal.linalg import gf2_rank, gfp_rank, int_rank
+from srchordal.linalg import gf2_pivots, gf2_rank, gfp_pivots, gfp_rank, int_rank
 from data import RP2_FACETS
 from oracles import modular_rank, rational_rank
 
@@ -40,10 +40,11 @@ def random_rows(rng):
     return rows
 
 
-def rp2_boundary_rows(size):
-    """Dense boundary matrix of the minimal RP^2 from its faces with
-    `size` vertices to those with one fewer."""
-    facets = [sum(1 << (v - 1) for v in f) for f in RP2_FACETS]
+def boundary_rows(facet_lists, size):
+    """Dense boundary matrix of the complex with these facets from its
+    faces with `size` vertices to those with one fewer, each size in
+    ascending mask order."""
+    facets = [sum(1 << (v - 1) for v in f) for f in facet_lists]
 
     def faces_with(k):
         out = set()
@@ -123,7 +124,7 @@ class TestSparseRanks:
 
     @pytest.mark.parametrize("size", [2, 3])
     def test_rp2_boundary(self, size):
-        dense = rp2_boundary_rows(size)
+        dense = boundary_rows(RP2_FACETS, size)
         rows = sparse(dense)
         assert int_rank(rows) == rational_rank(dense)
         for p in (2, 3):
@@ -133,7 +134,7 @@ class TestSparseRanks:
     def test_rp2_torsion_shows_only_mod_two(self):
         # 15 edges, 10 triangles: the top boundary has rank 9 mod 2 (H_2 = 1)
         # and rank 10 over Q and mod 3 (H_2 = 0).
-        dense = rp2_boundary_rows(3)
+        dense = boundary_rows(RP2_FACETS, 3)
         rows = sparse(dense)
         assert gf2_rank(bitmask(dense)) == gfp_rank(rows, 2) == 9
         assert int_rank(rows) == gfp_rank(rows, 3) == 10
@@ -149,3 +150,65 @@ class TestSparseRanks:
                 for _ in range(rng.randint(6, 12))
             ]
             assert int_rank(sparse(dense)) == rational_rank(dense), dense
+
+
+def dense_row(row, ncols):
+    """A sparse row, bitmask or dict, as a dense list of ncols entries."""
+    if isinstance(row, int):
+        return [row >> c & 1 for c in range(ncols)]
+    return [row.get(c, 0) for c in range(ncols)]
+
+
+class TestPivots:
+    def check(self, dense, p):
+        # distinct leads, each its pivot's lowest column holding 1, each
+        # pivot in the span of the rows, and as many pivots as the rank
+        rank = modular_rank(dense, p)
+        ncols = len(dense[0]) if dense else 0
+        if p == 2:
+            pivots = gf2_pivots(bitmask(dense))
+            lows = [pivot & -pivot for pivot in pivots.values()]
+            assert list(pivots) == lows
+            columns = [lead.bit_length() - 1 for lead in pivots]
+        else:
+            pivots = gfp_pivots(sparse(dense), p)
+            assert list(pivots) == [min(pivot) for pivot in pivots.values()]
+            assert all(pivot[lead] == 1 for lead, pivot in pivots.items())
+            assert all(0 < x < p for pivot in pivots.values() for x in pivot.values())
+            columns = list(pivots)
+        assert len(set(columns)) == len(pivots) == rank, (dense, p)
+        for pivot in pivots.values():
+            assert modular_rank(dense + [dense_row(pivot, ncols)], p) == rank, (dense, p)
+        return columns
+
+    def test_random_rows(self):
+        rng = random.Random(601)
+        for _ in range(400):
+            dense = random_rows(rng)
+            for p in (2, 3, 5, 7):
+                self.check(dense, p)
+
+    def test_clearing_keeps_the_rank_of_each_map(self):
+        # The lemma of the linalg docstring on random complexes and RP^2:
+        # from the top size down, the map out of size s without the rows
+        # at the leads of the pivots of the map out of size s + 1, as
+        # ranked there, keeps its full rank over each field.
+        rng = random.Random(615)
+        complexes = [RP2_FACETS]
+        for _ in range(30):
+            n = rng.randint(4, 7)
+            complexes.append([
+                rng.sample(range(1, n + 1), rng.randint(2, 4)) for _ in range(rng.randint(2, 2 * n))
+            ])
+        left_out = 0
+        for facets in complexes:
+            top = max(len(f) for f in facets)
+            for p in (2, 3, 5):
+                leads = []
+                for size in range(top, 0, -1):
+                    dense = boundary_rows(facets, size)
+                    kept = [row for i, row in enumerate(dense) if i not in leads]
+                    assert modular_rank(kept, p) == modular_rank(dense, p), (facets, p, size)
+                    left_out += len(dense) - len(kept)
+                    leads = self.check(kept, p)
+        assert left_out > 0
