@@ -37,6 +37,16 @@ A collapse search keeps the complex as its state and recounts its free
 faces at every state: its moves remove faces of every size, and on the
 collapsible complexes of the `certify` benchmark it never backtracks.
 
+Chordality of the Stanley-Reisner complex Δ of an ideal I is decided
+from the generators alone (`has_chordal_complex`), with neither Δ nor
+a Berge transversal. The minimal nonfaces of Δ are the generators of
+I, so the deciding range of d comes from their degrees, and the
+(d+1)-faces of Δ, which are all the order search reads, are the
+(d+1)-subsets of the variables that contain no generator. The range
+drops the bound d <= dim Δ that `chordality_check_range` applies: for
+d > dim Δ there is no (d+1)-face, so the search starts at its goal and
+that d is d-chordal.
+
 `verify_sequence` replays both kinds with `face_deletion` and
 `delete_all` on explicit complexes, so the order search and its replay
 share no move code, and an accepted certificate does not rest on the
@@ -59,6 +69,7 @@ from .errors import (
     SearchBudgetExceeded,
     VoidComplexError,
 )
+from .ideals import SquarefreeIdeal
 from .values import Value
 
 KIND_COLLAPSE = "collapse"
@@ -167,9 +178,15 @@ def _check_closure(cx: SimplicialComplex, d: int, budget: int) -> str:
         raise DimensionRangeError(f"closure parameter d must be >= 1, got {d}")
     if cx.is_void:
         raise VoidComplexError("the void complex has no d-closure")
-    over = f"the {d}-closure exceeded the face budget ({budget})"
     top = max(comb(f.bit_count(), d + 1) for f in cx.facets)
-    if comb(cx.ambient.bit_count(), d) + top > budget:
+    return _charge(comb(cx.ambient.bit_count(), d) + top, d, budget)
+
+
+def _charge(faces: int, d: int, budget: int) -> str:
+    """Raise the budget exit of a d-closure when `faces`, counted before
+    they are listed, exceed the budget; returns the exit's message."""
+    over = f"the {d}-closure exceeded the face budget ({budget})"
+    if faces > budget:
         raise SearchBudgetExceeded(over)
     return over
 
@@ -391,8 +408,25 @@ def d_chordal_order(
     closure (`_order_rule`), so the closure is never built. The complex
     is held to the closure's up-front face bound (`_check_closure`), not
     to its growth, and then the search to its node budget."""
+    tops = _closure_tops(cx, d, budget)
+    return _search(_order_rule(tops, d), KIND_SIMPLICIAL_ORDER, d, budget)
+
+
+def _closure_tops(cx: SimplicialComplex, d: int, budget: int) -> list[int]:
+    """The (d+1)-faces of the complex, ascending, once the d-closure's
+    up-front face bound is met."""
     _check_closure(cx, d, budget)
-    return _search(_order_rule(cx.faces_of_dim(d), d), KIND_SIMPLICIAL_ORDER, d, budget)
+    return cx.faces_of_dim(d)
+
+
+def _chordal_over(lo: int, hi: int, tops: Callable[[int], list[int]], budget: int) -> bool:
+    """Whether the d-closure has a simplicial order for every d from lo
+    to hi, each searched on `tops(d)`, its (d+1)-faces in ascending
+    order; the first d without one ends the loop."""
+    return all(
+        _search(_order_rule(tops(d), d), KIND_SIMPLICIAL_ORDER, d, budget) is not None
+        for d in range(lo, hi + 1)
+    )
 
 
 def simplicial_deletions(
@@ -456,7 +490,34 @@ def is_chordal(cx: SimplicialComplex, *, budget: int = DEFAULT_BUDGET) -> bool:
     an Alexander dual.
     """
     lo, hi = chordality_check_range(cx)
-    return all(is_d_chordal(cx, d, budget=budget) for d in range(lo, hi + 1))
+    return _chordal_over(lo, hi, lambda d: _closure_tops(cx, d, budget), budget)
+
+
+def has_chordal_complex(ideal: SquarefreeIdeal, *, budget: int = DEFAULT_BUDGET) -> bool:
+    """Whether the Stanley-Reisner complex Δ of the ideal is chordal, as
+    `is_chordal(stanley_reisner_complex(ideal))` decides it, read off the
+    generators with neither Δ nor a Berge transversal built.
+
+    The generators are the minimal nonfaces of Δ, so d runs from
+    max(1, min degree - 1) to max degree - 1, and the (d+1)-faces of Δ
+    are the (d+1)-subsets of [n] that contain no generator (see the
+    module docstring). The zero ideal has the full simplex, which has no
+    nonface and is chordal.
+
+    Each listing visits comb(n, d+1) subsets, and is charged that count
+    against `budget` before it runs, with the d-closure's budget exit;
+    then the search is held to its node budget."""
+    degrees = ideal.degrees()
+    if not degrees:
+        return True
+    full = (1 << ideal.n) - 1
+
+    def tops(d: int) -> list[int]:
+        _charge(comb(ideal.n, d + 1), d, budget)
+        small = [g for g in ideal.gens if g.bit_count() <= d + 1]
+        return sorted(t for t in subsets_of_size(full, d + 1) if all(g & ~t for g in small))
+
+    return _chordal_over(max(1, min(degrees) - 1), max(degrees) - 1, tops, budget)
 
 
 def verify_sequence(cx: SimplicialComplex, seq: FreeSequence, d: int) -> bool:

@@ -15,12 +15,13 @@ Input formats (also shown by --help of each subcommand):
 Exit status: 0 = computed (or verdict true), 1 = negative verdict,
 2 = input error (including an option the subcommand does not take),
 3 = budget exhausted (search nodes; d-closure faces for closure and
-experiment, which build the closure; for chordal and classify, whose
-search reads only the (d+1)-faces, the closure's up-front face bound
-and not its growth; or LCM lattice members for betti, linres, cwl and
-classify). Verdict-valued subcommands use status 1 for "false" so
-shell pipelines can branch on them; this deliberately diverges from
-errors-only conventions.
+experiment, which build the closure; for chordal, whose search reads
+only the (d+1)-faces, the closure's up-front face bound and not its
+growth; for classify, which lists the (d+1)-faces from the generators,
+the comb(n, d+1) subsets that listing visits; or LCM lattice members
+for betti, linres, cwl and classify). Verdict-valued subcommands use
+status 1 for "false" so shell pipelines can branch on them; this
+deliberately diverges from errors-only conventions.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from .betti import BOTH_FIELDS, is_componentwise_linear, linear_by_field
 from .bitsets import iter_vertices
-from .chordality import is_chordal
+from .chordality import has_chordal_complex
 from .complexes import SimplicialComplex
 from .errors import DEFAULT_BUDGET, NotStronglyStableError, VertexRangeError, ZeroIdealError
 from .ideals import (
@@ -234,10 +234,18 @@ def classify(ideal: SquarefreeIdeal, *, budget: int = DEFAULT_BUDGET) -> dict:
     vertex decomposable complexes, have linear quotients in each degree
     component, and a component whose generators the greedy of
     `betti._linear_quotients` can order is decided linear without a
-    walk (see `betti.nonlinear_witness`). `budget` bounds each
-    chordality search, each d-closure's up-front face bound (the search
-    reads only the (d+1)-faces and never builds the closure) and each
-    LCM lattice that the componentwise linearity check walks.
+    walk (see `betti.nonlinear_witness`).
+
+    Chordality is decided from the generators (`has_chordal_complex`):
+    they are the minimal nonfaces of the complex, so they fix the range
+    of d, and the order search for each d reads only the generator-free
+    (d+1)-subsets of [n], so neither the Stanley-Reisner complex nor a
+    Berge transversal is computed. It is searched for, never read off
+    the family verdicts, so the report shows the implications rather
+    than assuming them. `budget` bounds each listing of (d+1)-subsets,
+    by their count comb(n, d+1) before it runs, each order search, by
+    its nodes, and each LCM lattice that the componentwise linearity
+    check walks, by its members.
 
     The dual's facets are the complements in [n] of the generators, so
     `is_shifted` on it runs the very exchange of
@@ -246,7 +254,6 @@ def classify(ideal: SquarefreeIdeal, *, budget: int = DEFAULT_BUDGET) -> dict:
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal is not classified")
-    cx = stanley_reisner_complex(ideal)
     strongly_stable = is_squarefree_strongly_stable(ideal)
     return {
         "stable": is_squarefree_stable(ideal),
@@ -254,7 +261,7 @@ def classify(ideal: SquarefreeIdeal, *, budget: int = DEFAULT_BUDGET) -> dict:
         "shifted": strongly_stable,
         "vertex_decomposable": is_vertex_decomposable(_alexander_dual_of(ideal)),
         "gotzmann": gotzmann_decomposition(ideal) is not None,
-        "chordal": is_chordal(cx, budget=budget),
+        "chordal": has_chordal_complex(ideal, budget=budget),
         "componentwise_linear": linear_by_field(
             is_componentwise_linear, ideal, BOTH_FIELDS, budget=budget
         ),

@@ -13,6 +13,7 @@ from srchordal import (
     NotAClosureError,
     SearchBudgetExceeded,
     SimplicialComplex,
+    SquarefreeIdeal,
     VoidComplexError,
     betti_table,
     chordality_check_range,
@@ -20,6 +21,7 @@ from srchordal import (
     d_closure,
     find_simplicial_order,
     free_faces,
+    has_chordal_complex,
     is_chordal,
     is_d_chordal,
     is_d_closure,
@@ -28,6 +30,7 @@ from srchordal import (
     simplex_skeleton,
     simplicial_deletions,
     simplicial_faces,
+    stanley_reisner_complex,
     stanley_reisner_ideal,
     verify_sequence,
 )
@@ -46,7 +49,12 @@ from generators import (
     random_box_nerve,
     random_complex,
     random_d_closure,
+    random_gotzmann_ideal,
+    random_ideal,
     random_small_facet_complex,
+    random_split_ideal,
+    random_stable_ideal,
+    random_vd_dual_ideal,
 )
 from oracles import (
     brute_d_closure,
@@ -416,6 +424,54 @@ class TestIsChordal:
     def test_void_errors(self):
         with pytest.raises(VoidComplexError):
             is_chordal(SimplicialComplex.void(3))
+
+
+class TestHasChordalComplex:
+    def test_agrees_with_the_stanley_reisner_complex(self):
+        # the generators are the minimal nonfaces, and the (d+1)-faces
+        # the generator-free (d+1)-subsets; random_ideal with min_n=1
+        # leaves variables in no generator, the cone points of the complex
+        rng = random.Random(530)
+        draws = [random_ideal(rng, 8, min_n=1) for _ in range(200)]
+        draws += [random_stable_ideal(rng, 8) for _ in range(30)]
+        draws += [random_gotzmann_ideal(rng, 8) for _ in range(30)]
+        draws += [random_vd_dual_ideal(rng, rng.randint(2, 8)) for _ in range(30)]
+        draws += [random_split_ideal(rng, rng.randint(6, 8), rng.choice((2, 3)))
+                  for _ in range(30)]
+        verdicts, cones = [], 0
+        for ideal in draws:
+            verdict = has_chordal_complex(ideal)
+            assert verdict == is_chordal(stanley_reisner_complex(ideal)), ideal
+            verdicts.append(verdict)
+            used = 0
+            for g in ideal.gens:
+                used |= g
+            cones += used != (1 << ideal.n) - 1
+        assert verdicts.count(False) >= 30 and cones >= 100
+
+    def test_the_range_ends_at_the_top_degree_not_the_dimension(self):
+        # the complex of (x1, x2x3) is the points 2 and 3, of dimension 0,
+        # so is_chordal checks no d; at d = 1 none of the comb(3, 2) = 3
+        # subsets listed is a face, so the search starts at its goal
+        ideal = SquarefreeIdeal(3, [[1], [2, 3]])
+        assert chordality_check_range(stanley_reisner_complex(ideal)) == (1, 0)
+        assert has_chordal_complex(ideal, budget=3)
+        over = r"^the 1-closure exceeded the face budget \(2\)$"
+        with pytest.raises(SearchBudgetExceeded, match=over):
+            has_chordal_complex(ideal, budget=2)
+
+    def test_the_zero_ideal_has_the_full_simplex(self):
+        assert has_chordal_complex(SquarefreeIdeal.zero(4), budget=0)
+        assert is_chordal(stanley_reisner_complex(SquarefreeIdeal.zero(4)))
+
+    def test_each_listing_is_charged_before_it_runs(self):
+        # (x1x2) on 30 variables checks d = 1 only, on comb(30, 2) = 435
+        # subsets; one short of that, the budget stops the listing
+        ideal = SquarefreeIdeal(30, [[1, 2]])
+        assert has_chordal_complex(ideal, budget=435)
+        over = r"^the 1-closure exceeded the face budget \(434\)$"
+        with pytest.raises(SearchBudgetExceeded, match=over):
+            has_chordal_complex(ideal, budget=434)
 
 
 class TestIsDCollapsible:

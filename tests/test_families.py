@@ -42,8 +42,10 @@ from generators import (
     random_rp2_extension,
     random_shifted_complex,
     random_small_facet_complex,
+    random_split_ideal,
     random_stable_ideal,
     random_strongly_stable_monomial_ideal,
+    random_vd_dual_ideal,
 )
 from oracles import (
     brute_exchange_closed,
@@ -405,6 +407,32 @@ class TestClassify:
                 ), (ideal, field)
             seen.append((verdicts["gf2"], verdicts["char0"]))
         assert {(True, True), (False, False), (False, True)} <= set(seen)
+
+    def test_no_berge_transversal_is_computed(self, monkeypatch):
+        # chordality is read off the generators and the dual off their
+        # complements, so classify never enumerates the 2^14 transversals
+        # of 14 disjoint edges, nor those of any ideal of the benchmark's
+        # families; the paper proves stable, Gotzmann and vd-dual ideals
+        # chordal, and a split ideal is not componentwise linear, so not
+        # chordal
+        import srchordal.complexes
+        import srchordal.ideals
+
+        def refuse(edges):
+            raise AssertionError("minimal_transversals called")
+
+        monkeypatch.setattr(srchordal.ideals, "minimal_transversals", refuse)
+        monkeypatch.setattr(srchordal.complexes, "minimal_transversals", refuse)
+        rng = random.Random(531)
+        draws = [
+            random_stable_ideal(rng, 7),
+            random_gotzmann_ideal(rng, 7),
+            random_vd_dual_ideal(rng, 7),
+            random_split_ideal(rng, 7, 2),
+        ]
+        assert [classify(ideal)["chordal"] for ideal in draws] == [True, True, True, False]
+        edges = SquarefreeIdeal(28, [[2 * i + 1, 2 * i + 2] for i in range(14)])
+        assert classify(edges)["chordal"] is False
 
     def test_walks_each_component_once_when_gf2_is_linear(self, monkeypatch):
         import srchordal.betti

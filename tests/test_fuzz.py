@@ -6,8 +6,9 @@ The mutants are drawn from the complexes of `data.py`, their
 Stanley-Reisner ideals, strongly stable monomial ideals and replayable
 certificates: bytes are flipped, deleted, duplicated or spliced between
 inputs of the same kind, and numbers are replaced by other numbers or
-other JSON values. The Berge transversals behind dual, nonfaces,
-sigma and classify run without a budget, so a mutant is kept only if
+other JSON values. The Berge transversals behind chordal (its range
+of d), dual, nonfaces and sigma run without a budget, and so does the
+vertex decomposability check of classify, so a mutant is kept only if
 every number in it is at most 12; inputs with deep nesting and huge
 numbers, and large option values, are run separately, besides those
 `test_cli.py` pins with their messages."""
