@@ -32,7 +32,8 @@ the live (d+1)-faces containing it, is a face of the state. Every such
 face contains E, so U is the union of the live faces alone, and those
 are the live bits of E's star: U, and whether it is a face, depend on
 those bits and not on E, so one memo keyed by them serves every d-set,
-state and probe of a rule.
+state and probe of a rule. A d-set with one live (d+1)-face is free
+without a lookup: U is that face, which is live.
 A collapse search keeps the complex as its state and recounts its free
 faces at every state: its moves remove faces of every size, and on the
 collapsible complexes of the `certify` benchmark it never backtracks.
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
+from itertools import combinations
 from math import comb
 
 from .bitsets import iter_vertices, maximal_elements, subsets_of_size, vertices_from_mask
@@ -307,6 +309,10 @@ def _order_rule(tops: list[int], d: int) -> tuple[int, Callable, Callable, Calla
       U is a face of C, and survives (see State). The need of U holds
       the bits of those subsets, or a bit no state holds when the lookup
       misses one, where it stops, so the test is `need & ~alive == 0`.
+      With one live (d+1)-face, U is that face, whose only (d+1)-subset
+      is itself and alive, so E is free and is yielded before any
+      lookup; the test would pass it too, so the candidates are the
+      same, in the same order.
     * Memo: every live (d+1)-face containing E contains E, so U is the
       union of the faces of live = star[E] & alive alone, and E itself
       adds nothing to it. So U and its need depend on `live` and not on
@@ -335,8 +341,13 @@ def _order_rule(tops: list[int], d: int) -> tuple[int, Callable, Callable, Calla
             low = live & -live
             u |= tops[low.bit_length() - 1]
             live ^= low
-        try:
-            return sum(map(bit.__getitem__, subsets_of_size(u, d + 1)))  # distinct bits: their OR
+        bits = []
+        while u:
+            low = u & -u
+            bits.append(low)
+            u ^= low
+        try:  # distinct bits sum to their OR, both of vertices and of faces
+            return sum(map(bit.__getitem__, map(sum, combinations(bits, d + 1))))
         except KeyError:  # the first (d+1)-subset of U not in tops
             return absent
 
@@ -344,6 +355,9 @@ def _order_rule(tops: list[int], d: int) -> tuple[int, Callable, Callable, Calla
         for e, s in stars:
             live = s & alive
             if live:
+                if not live & (live - 1):  # one live face: U is that face
+                    yield e
+                    continue
                 need = cover.get(live)
                 if need is None:
                     need = cover[live] = needed(live)
@@ -506,7 +520,9 @@ def has_chordal_complex(ideal: SquarefreeIdeal, *, budget: int = DEFAULT_BUDGET)
 
     Each listing visits comb(n, d+1) subsets, and is charged that count
     against `budget` before it runs, with the d-closure's budget exit;
-    then the search is held to its node budget."""
+    then the search is held to its node budget. It takes every
+    (d+1)-subset and drops, in one set difference per generator g of
+    degree at most d+1, the (d+1)-sets g + S, S a subset of the rest."""
     degrees = ideal.degrees()
     if not degrees:
         return True
@@ -514,8 +530,12 @@ def has_chordal_complex(ideal: SquarefreeIdeal, *, budget: int = DEFAULT_BUDGET)
 
     def tops(d: int) -> list[int]:
         _charge(comb(ideal.n, d + 1), d, budget)
-        small = [g for g in ideal.gens if g.bit_count() <= d + 1]
-        return sorted(t for t in subsets_of_size(full, d + 1) if all(g & ~t for g in small))
+        free = set(subsets_of_size(full, d + 1))
+        free.difference_update(*(
+            map(g.__or__, subsets_of_size(full & ~g, d + 1 - g.bit_count()))
+            for g in ideal.gens if g.bit_count() <= d + 1
+        ))
+        return sorted(free)
 
     return _chordal_over(max(1, min(degrees) - 1), max(degrees) - 1, tops, budget)
 

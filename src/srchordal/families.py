@@ -1,12 +1,19 @@
 """Checkers for the structured families of componentwise linear ideals
 and the bridges between them (exchange conditions, shifting, vertex
 decomposability, the nested-block form, and the σ pipeline).
+
+Vertex decomposability recurses on facet masks, not on complexes: the
+deletion and the link of a vertex are read off the facet masks, and
+whether a vertex sheds, like the verdict itself, depends on the facets
+alone and not on the ambient set a subcomplex lives on, so the memo of
+decided subcomplexes is keyed by the facets and no complex is built
+below the one given.
 """
 
 from __future__ import annotations
 
 from .betti import BOTH_FIELDS, is_componentwise_linear, linear_by_field
-from .bitsets import iter_vertices
+from .bitsets import iter_vertices, maximal_elements
 from .chordality import has_chordal_complex
 from .complexes import SimplicialComplex
 from .errors import DEFAULT_BUDGET, NotStronglyStableError, VertexRangeError, ZeroIdealError
@@ -90,39 +97,56 @@ def is_shifted(cx: SimplicialComplex) -> bool:
 
 
 def _shedding_split(
-    cx: SimplicialComplex, v: int
-) -> tuple[SimplicialComplex, SimplicialComplex] | None:
-    """The deletion and the link of v when v is a shedding vertex, else None."""
-    deletion = cx.delete_all((v,))
-    link = cx.link((v,))
-    if any(link.is_face(f) for f in deletion.facets):
+    facets: tuple[int, ...], bit: int
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The facets of the deletion and of the link of the vertex whose
+    mask is `bit`, when it is a shedding vertex of the complex with these
+    facets, else None. The deletion's faces are the faces missing the
+    vertex, so its facets are the maximal sets F - v; the link's are the
+    pieces F - v of the facets F containing it, which no antichain
+    reduction needs (see `SimplicialComplex.link`) and which keep the
+    ascending order of the facets. Both are as `delete_all` and `link`
+    give them."""
+    deletion = maximal_elements(f & ~bit for f in facets)
+    link = tuple(f ^ bit for f in facets if f & bit)
+    if any(g & ~f == 0 for g in deletion for f in link):
         return None
     return deletion, link
 
 
 def shedding_vertices(cx: SimplicialComplex) -> list[int]:
-    """Vertices whose link has no face among the facets of the deletion."""
+    """Vertices whose link has no face among the facets of the deletion,
+    tested on the facet masks by the split `is_vertex_decomposable`
+    recurses on."""
     verts = cx.vertices()
     if not verts:
         raise VertexRangeError("the complex has no vertices")
-    return [v for v in verts if _shedding_split(cx, v) is not None]
+    return [v for v in verts if _shedding_split(cx.facets, 1 << (v - 1)) is not None]
 
 
 def is_vertex_decomposable(cx: SimplicialComplex) -> bool:
     """Recursive test: a simplex (void and {∅} included), or some
-    shedding vertex whose deletion and link are both decomposable."""
-    memo: dict[tuple[int, tuple[int, ...]], bool] = {}
+    shedding vertex whose deletion and link are both decomposable.
 
-    def rec(c: SimplicialComplex) -> bool:
-        key = (c.ambient, c.facets)
-        if key not in memo:
-            memo[key] = len(c.facets) <= 1 or any(
+    The recursion runs on facet tuples, split by `_shedding_split`, and
+    builds no complex. The ambient set never enters it: the vertices
+    tried are those of the facets, and the deletion, the link and the
+    shedding test are read off the facets alone. So a memo keyed by the
+    facets decides each subcomplex once, whatever set it lives on."""
+    memo: dict[tuple[int, ...], bool] = {}
+
+    def rec(facets: tuple[int, ...]) -> bool:
+        if facets not in memo:
+            union = 0
+            for f in facets:
+                union |= f
+            memo[facets] = len(facets) <= 1 or any(
                 split is not None and rec(split[0]) and rec(split[1])
-                for split in (_shedding_split(c, v) for v in c.vertices())
+                for split in (_shedding_split(facets, 1 << (v - 1)) for v in iter_vertices(union))
             )
-        return memo[key]
+        return memo[facets]
 
-    return rec(cx)
+    return rec(cx.facets)
 
 
 class GotzmannDecomposition(Value):

@@ -364,33 +364,53 @@ def brute_has_simplicial_order(cx: SimplicialComplex, d: int) -> bool:
     return reaches(frozenset(brute_face_set(cx)))
 
 
+def _brute_maximal(faces: frozenset[int], n: int) -> list[int]:
+    """The faces that no face with one more vertex contains."""
+    return [
+        f for f in faces
+        if all(f | 1 << v not in faces for v in range(n) if not f >> v & 1)
+    ]
+
+
+def _brute_shedding_split(
+    faces: frozenset[int], bit: int, n: int
+) -> tuple[frozenset[int], frozenset[int]] | None:
+    """The deletion (the faces missing v) and the link (the faces G
+    missing v with G + v a face) of the vertex v with mask `bit`, by
+    definition on the face set, when no maximal face of the deletion
+    lies in the link; None otherwise."""
+    deletion = frozenset(f for f in faces if not f & bit)
+    link = frozenset(f for f in deletion if f | bit in faces)
+    if any(f in link for f in _brute_maximal(deletion, n)):
+        return None
+    return deletion, link
+
+
+def brute_shedding_vertices(cx: SimplicialComplex) -> list[int]:
+    """The shedding vertices of the complex, ascending, on its explicit
+    face set."""
+    faces = frozenset(brute_face_set(cx))
+    return [
+        v for v in range(1, cx.n + 1)
+        if 1 << (v - 1) in faces and _brute_shedding_split(faces, 1 << (v - 1), cx.n) is not None
+    ]
+
+
 def brute_is_vertex_decomposable(cx: SimplicialComplex) -> bool:
     """Vertex decomposability by definition, on explicit face sets: a
     face set with at most one maximal face (void, {∅} or a simplex) is
     vertex decomposable, and so is one with a shedding vertex v whose
-    deletion (the faces missing v) and link (the faces G missing v with
-    G + v a face) are both vertex decomposable. v is shedding when no
-    maximal face of the deletion lies in the link. Every vertex is
+    deletion and link are both vertex decomposable. Every vertex is
     tried, and nothing is memoized."""
 
-    def maximal(faces: frozenset[int]) -> list[int]:
-        """The faces that no face with one more vertex contains."""
-        return [
-            f for f in faces
-            if all(f | 1 << v not in faces for v in range(cx.n) if not f >> v & 1)
-        ]
-
     def decomposable(faces: frozenset[int]) -> bool:
-        if len(maximal(faces)) <= 1:
+        if len(_brute_maximal(faces, cx.n)) <= 1:
             return True
         for v in range(cx.n):
-            bit = 1 << v
-            if bit not in faces:
+            if 1 << v not in faces:
                 continue
-            deletion = frozenset(f for f in faces if not f & bit)
-            link = frozenset(f for f in deletion if f | bit in faces)
-            shedding = not any(f in link for f in maximal(deletion))
-            if shedding and decomposable(deletion) and decomposable(link):
+            split = _brute_shedding_split(faces, 1 << v, cx.n)
+            if split is not None and decomposable(split[0]) and decomposable(split[1]):
                 return True
         return False
 

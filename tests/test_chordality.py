@@ -1,6 +1,9 @@
 """Closures, free/simplicial faces, the searches, and certificate replay."""
 
 import random
+from collections import Counter
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -662,20 +665,34 @@ class TestOrderCandidates:
         # from every facet of the complex that replaying the moves to it
         # with face_deletion builds; every path to one state builds one
         # complex, and a failed search expands each state it reaches
-        # once, right after the move that first reaches it
+        # once, right after the move that first reaches it. The planted
+        # octahedron and the 2-closure of figure 4 each reach both
+        # shortcuts of the rule: a d-set in one live (d+1)-face, free
+        # without a lookup, and one whose U, the union of its live
+        # (d+1)-faces, is no face of the closure, where the lookup of
+        # U's (d+1)-subsets misses
         expanded, moves = [], []
+        shapes = Counter()
         real = srchordal.chordality._search
 
         def watched(rule, kind, d, budget):
             start, candidates, move, done = rule
             built = {start: closure}
             last = [start]
+            tops = set(closure.faces_of_dim(d))
 
             def expanding(state):
                 assert state == last[0]
                 got = list(candidates(state))
                 assert got == brute_free_nonfacet_d_sets(built[state], d)
                 expanded.append(state)
+                live_tops = built[state].faces_of_dim(d)
+                for e in {e for t in live_tops for e in subsets_of_size(t, d)}:
+                    live = [t for t in live_tops if e & ~t == 0]
+                    if len(live) == 1:
+                        shapes["one live face"] += 1
+                    elif any(s not in tops for s in subsets_of_size(reduce(or_, live), d + 1)):
+                        shapes["lookup misses"] += 1
                 return got
 
             def moving(state, e):
@@ -688,26 +705,33 @@ class TestOrderCandidates:
 
             return real((start, expanding, moving, done), kind, d, budget)
 
+        def instances():
+            for rng, cx in complex_draws(716, 1716, 50, 7):
+                for d in (1, 2, 3):
+                    yield d, d_closure(cx, d), False
+                    if d < 3 and cx.n >= 2 + 2 * d:
+                        yield d, d_closure(plant_hole(rng, cx, d), d), False
+            for cx in (OCTAHEDRON_AND_MORE, FIG4):
+                yield 2, d_closure(cx, 2), True
+
         monkeypatch.setattr(srchordal.chordality, "_search", watched)
         verdicts, dead_hits = set(), 0
-        for rng, cx in complex_draws(716, 1716, 50, 7):
-            for d in (1, 2, 3):
-                closures = [d_closure(cx, d)]
-                if d < 3 and cx.n >= 2 + 2 * d:
-                    closures.append(d_closure(plant_hole(rng, cx, d), d))
-                for closure in closures:
-                    expanded.clear()
-                    moves.clear()
-                    found = find_simplicial_order(closure, d)
-                    if found is not None:
-                        assert verify_sequence(closure, found, d)
-                    elif expanded:
-                        # each move of a failed search reaches a state
-                        # first expanded then, or one already known to
-                        # fail
-                        assert len(set(expanded)) == len(expanded)
-                        dead_hits += len(moves) - (len(expanded) - 1)
-                    verdicts.add(found is not None)
+        for d, closure, named in instances():
+            expanded.clear()
+            moves.clear()
+            shapes.clear()
+            found = find_simplicial_order(closure, d)
+            if found is not None:
+                assert verify_sequence(closure, found, d)
+            elif expanded:
+                # each move of a failed search reaches a state first
+                # expanded then, or one already known to fail
+                assert len(set(expanded)) == len(expanded)
+                dead_hits += len(moves) - (len(expanded) - 1)
+            verdicts.add(found is not None)
+            if named:
+                assert shapes["one live face"] > 0, closure
+                assert shapes["lookup misses"] > 0, closure
         assert verdicts == {False, True}
         assert dead_hits > 0
 

@@ -2,6 +2,7 @@
 form, the σ pipeline, and the family-level implications."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -51,6 +52,7 @@ from oracles import (
     brute_exchange_closed,
     brute_is_shifted,
     brute_is_vertex_decomposable,
+    brute_shedding_vertices,
     stable_betti,
     unbounded_componentwise_linear,
 )
@@ -233,20 +235,81 @@ class TestVertexDecomposable:
     def test_each_subcomplex_is_split_once(self, monkeypatch, n, facets, verdict, splits):
         # the memo decides each subcomplex once, so no (subcomplex,
         # vertex) pair is tried twice; without it the dunce hat takes
-        # 582 splits and figure 4 takes 211
+        # 582 splits and figure 4 takes 211. A subcomplex is its facet
+        # tuple and a vertex its one-bit mask, as the split takes them
         import srchordal.families
 
         real = srchordal.families._shedding_split
         calls = []
 
-        def counting(c, v):
-            calls.append((c.ambient, c.facets, v))
-            return real(c, v)
+        def counting(facets, bit):
+            calls.append((facets, bit))
+            return real(facets, bit)
 
         monkeypatch.setattr(srchordal.families, "_shedding_split", counting)
         assert is_vertex_decomposable(SimplicialComplex.from_facets(n, facets)) == verdict
         assert len(calls) == splits
         assert len(set(calls)) == splits
+
+    @pytest.mark.parametrize(
+        "n, facets", [(7, FIG4_FACETS), (8, DUNCE_HAT_FACETS)], ids=["fig4", "dunce_hat"]
+    )
+    def test_the_recursion_builds_no_complex(self, monkeypatch, n, facets):
+        # the recursion splits facet tuples: it takes no deletion or link
+        # of a complex and builds no complex at all, here on two complexes
+        # whose failed recursion visits every subcomplex it reaches
+        cx = SimplicialComplex.from_facets(n, facets)
+        calls = Counter()
+        for name in ("delete_all", "link"):
+            real = getattr(SimplicialComplex, name)
+            monkeypatch.setattr(
+                SimplicialComplex, name,
+                lambda self, face, real=real, name=name: calls.update([name]) or real(self, face),
+            )
+        raw = SimplicialComplex._raw
+        monkeypatch.setattr(
+            SimplicialComplex, "_raw",
+            lambda *args: calls.update(["_raw"]) or raw(*args),
+        )
+        assert not is_vertex_decomposable(cx)
+        shedding_vertices(cx)
+        assert calls == Counter()
+        # the counters see the object-level operations
+        cx.delete_all((1,)).link((2,))
+        assert calls == Counter(delete_all=1, link=1, _raw=2)
+
+    def test_shedding_vertices_and_verdicts_match_the_definition(self):
+        # the shedding vertices and the verdict of the mask recursion are
+        # those of the face-set definition, on random complexes and on
+        # the Alexander duals of the complexes of stable, Gotzmann and
+        # vd_dual ideals on 7 and 8 variables, whose duals are often
+        # (stable, Gotzmann) or always (vd_dual) decomposable
+        rng = random.Random(512)
+
+        def stable(n: int) -> SquarefreeIdeal:  # the draw's n is at most the one asked for
+            while (ideal := random_stable_ideal(rng, n)).n != n:
+                pass
+            return ideal
+
+        cxs = [(random_complex(rng, 7), None) for _ in range(200)]
+        for n in (7, 8):
+            for _ in range(10):
+                cxs += [
+                    (_alexander_dual_of(stable(n)), None),
+                    (_alexander_dual_of(random_gotzmann_ideal(rng, n)), None),
+                    (_alexander_dual_of(random_vd_dual_ideal(rng, n)), True),
+                ]
+        verdicts, shed = [], 0
+        for cx, known in cxs:
+            if cx.vertices():
+                got = shedding_vertices(cx)
+                assert got == brute_shedding_vertices(cx), cx
+                shed += len(got)
+            verdicts.append(is_vertex_decomposable(cx))
+            assert verdicts[-1] == brute_is_vertex_decomposable(cx), cx
+            assert known in (None, verdicts[-1]), cx
+        assert 0 < sum(verdicts) < len(verdicts)
+        assert shed > 0
 
     def test_decomposable_implies_dual_chordal(self):
         rng = random.Random(504)
